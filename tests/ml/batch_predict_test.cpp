@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "ml/factory.h"
+#include "ml/mlp.h"
 #include "util/rng.h"
+#include "util/types.h"
 
 namespace sturgeon::ml {
 namespace {
@@ -108,6 +110,89 @@ TEST(BatchPredict, ClassifiersMatchScalar) {
       EXPECT_EQ(vec[i], batch[i]) << to_string(kind) << " row " << i;
     }
   }
+}
+
+// Training data with the runtime's LS feature layout {kQPS, cores, GHz,
+// ways} on the paper platform: a power-like target and a QoS-like label.
+struct SliceData {
+  DataSet regression;
+  std::vector<int> labels;
+};
+
+SliceData slice_training_data(const MachineSpec& machine) {
+  Rng rng(21);
+  SliceData d;
+  for (int i = 0; i < 300; ++i) {
+    const double kqps = rng.uniform(0.0, 60.0);
+    const double cores = rng.uniform_int(1, machine.num_cores);
+    const double ghz =
+        machine.freq_at(rng.uniform_int(0, machine.max_freq_level()));
+    const double ways = rng.uniform_int(1, machine.llc_ways);
+    d.regression.add({kqps, cores, ghz, ways},
+                     20.0 + 2.5 * cores * ghz * ghz + 0.1 * kqps);
+    d.labels.push_back(cores * ghz >= 0.5 * kqps && ways >= 3 ? 1 : 0);
+  }
+  return d;
+}
+
+// Sweeps every (cores, P-state, ways) slice of the paper platform, cores
+// and ways including 0, at several loads: the scalar predict() the
+// runtime calls per query must agree with predict_batch bit for bit on
+// every row.
+void expect_scalar_matches_batch_on_slice_grid(const MachineSpec& machine,
+                                               const Regressor& regressor,
+                                               const Classifier& classifier) {
+  for (double kqps : {0.0, 6.0, 23.5, 48.0}) {
+    std::vector<FeatureRow> rows;
+    for (int c = 0; c <= machine.num_cores; ++c) {
+      for (int f = 0; f <= machine.max_freq_level(); ++f) {
+        for (int w = 0; w <= machine.llc_ways; ++w) {
+          rows.push_back({kqps, static_cast<double>(c), machine.freq_at(f),
+                          static_cast<double>(w)});
+        }
+      }
+    }
+    const auto flat = flatten(rows);
+    std::vector<double> values(rows.size());
+    regressor.predict_batch(flat.data(), rows.size(), kArity, values.data());
+    std::vector<int> classes(rows.size());
+    classifier.predict_batch(flat.data(), rows.size(), kArity,
+                             classes.data());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(regressor.predict(rows[i])),
+                std::bit_cast<std::uint64_t>(values[i]))
+          << "kqps " << kqps << " row " << i;
+      ASSERT_EQ(classifier.predict(rows[i]), classes[i])
+          << "kqps " << kqps << " row " << i;
+    }
+  }
+}
+
+// The MLP family as the trainer deploys it (factory hyperparameters).
+TEST(BatchPredict, DeployedMlpScalarMatchesBatchOnSliceGrid) {
+  const MachineSpec machine = MachineSpec::xeon_e5_2630_v4();
+  const SliceData data = slice_training_data(machine);
+  auto regressor = make_regressor(ModelKind::kMlp);
+  regressor->fit(data.regression);
+  auto classifier = make_classifier(ModelKind::kMlp);
+  classifier->fit(data.regression.x, data.labels);
+  expect_scalar_matches_batch_on_slice_grid(machine, *regressor, *classifier);
+}
+
+// Nets wider than anything deployed, with two hidden layers of different
+// widths: scalar inference has no width limit.
+TEST(BatchPredict, WideMlpScalarMatchesBatchOnSliceGrid) {
+  const MachineSpec machine = MachineSpec::xeon_e5_2630_v4();
+  const SliceData data = slice_training_data(machine);
+  MlpParams params;
+  params.hidden = {96, 24};
+  params.epochs = 5;
+  MlpRegressor regressor(params);
+  regressor.fit(data.regression);
+  params.hidden = {24, 130};
+  MlpClassifier classifier(params);
+  classifier.fit(data.regression.x, data.labels);
+  expect_scalar_matches_batch_on_slice_grid(machine, regressor, classifier);
 }
 
 TEST(BatchPredict, EmptyBatchIsNoop) {
