@@ -152,7 +152,10 @@ void ClusterNode::set_power_cap(double watts) {
   STURGEON_CHECK(watts > 0.0, "ClusterNode::set_power_cap: " << watts);
   cap_w_ = watts;
   push_cap_to_policy(watts);
-  telemetry_->metrics().gauge("node.power_cap_w").set(watts);
+  if (power_cap_gauge_ == nullptr) {
+    power_cap_gauge_ = &telemetry_->metrics().gauge("node.power_cap_w");
+  }
+  power_cap_gauge_->set(watts);
 
   // Feed-forward clamp before the first measurement: the reactive loop
   // only sees 1 s samples, but a real node's RAPL would clamp frequency

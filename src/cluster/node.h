@@ -274,6 +274,7 @@ class ClusterNode {
   telemetry::Counter* safe_mode_counter_ = nullptr;
   telemetry::Counter* cap_unsupported_counter_ = nullptr;
   telemetry::Gauge* degraded_gauge_ = nullptr;
+  telemetry::Gauge* power_cap_gauge_ = nullptr;  ///< bound on first re-cap
 };
 
 }  // namespace sturgeon::cluster

@@ -57,17 +57,18 @@ void ConfigSearch::set_power_budget(double watts) {
   budget_w_ = watts;
 }
 
-std::optional<int> ConfigSearch::min_ls_cores(double qps_real) const {
+std::optional<int> ConfigSearch::min_ls_cores(double qps_real,
+                                              std::uint64_t& calls) const {
   STURGEON_CHECK(std::isfinite(qps_real) && qps_real >= 0.0,
                  "min_ls_cores: qps = " << qps_real);
   const MachineSpec& m = predictor_.machine();
   AppSlice probe{m.num_cores, m.max_freq_level(), m.llc_ways};
-  if (!predictor_.ls_qos_ok(qps_real, probe)) return std::nullopt;
+  if (!predictor_.ls_qos_ok(qps_real, probe, &calls)) return std::nullopt;
   int lo = 1, hi = m.num_cores;  // invariant: hi feasible
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;
     probe.cores = mid;
-    if (predictor_.ls_qos_ok(qps_real, probe)) {
+    if (predictor_.ls_qos_ok(qps_real, probe, &calls)) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -76,13 +77,14 @@ std::optional<int> ConfigSearch::min_ls_cores(double qps_real) const {
   return hi;
 }
 
-int ConfigSearch::min_ls_ways(double qps_real, AppSlice slice) const {
+int ConfigSearch::min_ls_ways(double qps_real, AppSlice slice,
+                              std::uint64_t& calls) const {
   const MachineSpec& m = predictor_.machine();
   int lo = 1, hi = m.llc_ways;  // caller guarantees hi feasible
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;
     slice.llc_ways = mid;
-    if (predictor_.ls_qos_ok(qps_real, slice)) {
+    if (predictor_.ls_qos_ok(qps_real, slice, &calls)) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -91,13 +93,14 @@ int ConfigSearch::min_ls_ways(double qps_real, AppSlice slice) const {
   return hi;
 }
 
-int ConfigSearch::min_ls_freq(double qps_real, AppSlice slice) const {
+int ConfigSearch::min_ls_freq(double qps_real, AppSlice slice,
+                              std::uint64_t& calls) const {
   const MachineSpec& m = predictor_.machine();
   int lo = 0, hi = m.max_freq_level();  // caller guarantees hi feasible
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;
     slice.freq_level = mid;
-    if (predictor_.ls_qos_ok(qps_real, slice)) {
+    if (predictor_.ls_qos_ok(qps_real, slice, &calls)) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -107,14 +110,11 @@ int ConfigSearch::min_ls_freq(double qps_real, AppSlice slice) const {
   return hi;
 }
 
-std::optional<int> ConfigSearch::max_be_freq(double qps_real,
-                                             const AppSlice& ls,
-                                             AppSlice be) const {
+std::optional<int> ConfigSearch::max_be_freq(double ls_w, AppSlice be) const {
   const MachineSpec& m = predictor_.machine();
   const auto fits = [&](int level) {
     be.freq_level = level;
-    Partition p{ls, be};
-    return predictor_.total_power_w(qps_real, p) <= budget_w_;
+    return predictor_.combined_power_w(ls_w, be) <= budget_w_;
   };
   if (!fits(0)) return std::nullopt;
   int lo = 0, hi = m.max_freq_level();  // invariant: lo feasible
@@ -129,43 +129,43 @@ std::optional<int> ConfigSearch::max_be_freq(double qps_real,
   return lo;
 }
 
-std::optional<Candidate> ConfigSearch::evaluate_candidate(double qps_real,
-                                                          int c1) const {
+std::optional<Candidate> ConfigSearch::evaluate_candidate(
+    double qps_real, int c1, std::uint64_t& calls) const {
   const MachineSpec& m = predictor_.machine();
   AppSlice ls{c1, m.max_freq_level(), m.llc_ways};
   // Just-enough ways, then just-enough frequency (Section V-B order).
-  ls.llc_ways = min_ls_ways(qps_real, ls);
+  ls.llc_ways = min_ls_ways(qps_real, ls, calls);
   if (ls.llc_ways >= m.llc_ways) return std::nullopt;  // nothing left for BE
-  ls.freq_level = min_ls_freq(qps_real, ls);
+  ls.freq_level = min_ls_freq(qps_real, ls, calls);
 
   AppSlice be = Allocation::complement(m, ls, 0);
   if (be.cores < 1 || be.llc_ways < 1) return std::nullopt;
-  const auto f2 = max_be_freq(qps_real, ls, be);
+  // The LS slice is fixed from here on: predict its power once.
+  const double ls_w = predictor_.ls_power_w(qps_real, ls, &calls);
+  const auto f2 = max_be_freq(ls_w, be);
   if (!f2) return std::nullopt;  // power infeasible even at the bottom P-state
   be.freq_level = *f2;
 
   Candidate cand;
   cand.partition = Partition{ls, be};
   cand.predicted_throughput = predictor_.be_throughput(be);
-  cand.predicted_power_w = predictor_.total_power_w(qps_real, cand.partition);
+  cand.predicted_power_w = predictor_.combined_power_w(ls_w, be);
   return cand;
 }
 
 SearchResult ConfigSearch::search(double qps_real) const {
   const MachineSpec& m = predictor_.machine();
-  const std::uint64_t invocations_before = predictor_.model_invocations();
   telemetry::Span span = tracer_ != nullptr
                              ? tracer_->start_span("candidate_eval")
                              : telemetry::Span{};
   SearchResult result;
   result.best = Partition::all_to_ls(m);
 
-  const auto c1_min = min_ls_cores(qps_real);
+  std::uint64_t& calls = result.model_invocations;
+  const auto c1_min = min_ls_cores(qps_real, calls);
   if (!c1_min) {
     // Even the whole machine cannot hold QoS: keep everything on the LS
     // service (Algorithm 1's conservative initial allocation).
-    result.model_invocations =
-        predictor_.model_invocations() - invocations_before;
     annotate_sweep(span, result);
     return result;
   }
@@ -175,7 +175,7 @@ SearchResult ConfigSearch::search(double qps_real) const {
   result.candidates.reserve(
       static_cast<std::size_t>(m.num_cores - *c1_min));
   for (int c1 = *c1_min; c1 < m.num_cores; ++c1) {
-    const auto cand = evaluate_candidate(qps_real, c1);
+    const auto cand = evaluate_candidate(qps_real, c1, calls);
     if (!cand) continue;
     result.candidates.push_back(*cand);
 
@@ -191,8 +191,6 @@ SearchResult ConfigSearch::search(double qps_real) const {
     if (cand->partition.be.freq_level == m.max_freq_level()) break;
   }
 
-  result.model_invocations =
-      predictor_.model_invocations() - invocations_before;
   annotate_sweep(span, result);
   check_search_result(m, result, budget_w_, "ConfigSearch::search");
   return result;
@@ -201,17 +199,15 @@ SearchResult ConfigSearch::search(double qps_real) const {
 SearchResult ConfigSearch::search_parallel(double qps_real,
                                            ThreadPool& pool) const {
   const MachineSpec& m = predictor_.machine();
-  const std::uint64_t invocations_before = predictor_.model_invocations();
   telemetry::Span span = tracer_ != nullptr
                              ? tracer_->start_span("candidate_eval")
                              : telemetry::Span{};
   SearchResult result;
   result.best = Partition::all_to_ls(m);
 
-  const auto c1_min = min_ls_cores(qps_real);
+  std::uint64_t& calls = result.model_invocations;
+  const auto c1_min = min_ls_cores(qps_real, calls);
   if (!c1_min) {
-    result.model_invocations =
-        predictor_.model_invocations() - invocations_before;
     annotate_sweep(span, result);
     return result;
   }
@@ -223,9 +219,14 @@ SearchResult ConfigSearch::search_parallel(double qps_real,
   const int count = m.num_cores - first;
   std::vector<std::optional<Candidate>> evaluated(
       static_cast<std::size_t>(count));
+  // One call count per candidate: workers never share a counter.
+  std::vector<std::uint64_t> candidate_calls(static_cast<std::size_t>(count),
+                                             0);
   pool.parallel_for(static_cast<std::size_t>(count), [&](std::size_t i) {
-    evaluated[i] = evaluate_candidate(qps_real, first + static_cast<int>(i));
+    evaluated[i] = evaluate_candidate(qps_real, first + static_cast<int>(i),
+                                      candidate_calls[i]);
   });
+  for (const std::uint64_t c : candidate_calls) calls += c;
 
   result.candidates.reserve(evaluated.size());
   for (const auto& cand : evaluated) {
@@ -240,8 +241,6 @@ SearchResult ConfigSearch::search_parallel(double qps_real,
     }
     if (cand->partition.be.freq_level == m.max_freq_level()) break;
   }
-  result.model_invocations =
-      predictor_.model_invocations() - invocations_before;
   annotate_sweep(span, result);
   check_search_result(m, result, budget_w_, "ConfigSearch::search_parallel");
   return result;
@@ -249,22 +248,23 @@ SearchResult ConfigSearch::search_parallel(double qps_real,
 
 SearchResult ConfigSearch::exhaustive(double qps_real) const {
   const MachineSpec& m = predictor_.machine();
-  const std::uint64_t invocations_before = predictor_.model_invocations();
   telemetry::Span span = tracer_ != nullptr
                              ? tracer_->start_span("candidate_eval")
                              : telemetry::Span{};
   SearchResult result;
   result.best = Partition::all_to_ls(m);
+  std::uint64_t& calls = result.model_invocations;
 
   for (int c1 = 1; c1 < m.num_cores; ++c1) {
     for (int f1 = 0; f1 <= m.max_freq_level(); ++f1) {
       for (int l1 = 1; l1 < m.llc_ways; ++l1) {
         const AppSlice ls{c1, f1, l1};
-        if (!predictor_.ls_qos_ok(qps_real, ls)) continue;
+        if (!predictor_.ls_qos_ok(qps_real, ls, &calls)) continue;
+        const double ls_w = predictor_.ls_power_w(qps_real, ls, &calls);
         for (int f2 = m.max_freq_level(); f2 >= 0; --f2) {
           AppSlice be = Allocation::complement(m, ls, f2);
           Partition p{ls, be};
-          const double power = predictor_.total_power_w(qps_real, p);
+          const double power = predictor_.combined_power_w(ls_w, be);
           if (power > budget_w_) continue;
           const double thr = predictor_.be_throughput(be);
           if (!result.feasible || thr > result.predicted_throughput) {
@@ -278,8 +278,6 @@ SearchResult ConfigSearch::exhaustive(double qps_real) const {
       }
     }
   }
-  result.model_invocations =
-      predictor_.model_invocations() - invocations_before;
   annotate_sweep(span, result);
   check_search_result(m, result, budget_w_, "ConfigSearch::exhaustive");
   return result;

@@ -39,7 +39,11 @@ struct SearchResult {
   double predicted_throughput = 0.0;
   double predicted_power_w = 0.0;
   std::vector<Candidate> candidates;      ///< all feasible candidates seen
-  std::uint64_t model_invocations = 0;    ///< predictions this search used
+  /// Model evaluations this search caused: 1 per scalar LS query, the
+  /// batch of every LS cache fill it triggered, none for a cache hit or a
+  /// BE table lookup. Counted by the search itself, so concurrent
+  /// searches on a shared predictor never count each other's calls.
+  std::uint64_t model_invocations = 0;
 };
 
 class ConfigSearch {
@@ -73,25 +77,28 @@ class ConfigSearch {
   void set_tracer(telemetry::Tracer* tracer) { tracer_ = tracer; }
 
  private:
+  // Each helper adds the model evaluations it causes to `calls`.
+
   /// Smallest C1 in [1, num_cores] meeting QoS with F1, L1 maxed, or
   /// nullopt if even the full machine fails.
-  std::optional<int> min_ls_cores(double qps_real) const;
+  std::optional<int> min_ls_cores(double qps_real, std::uint64_t& calls) const;
 
   /// Smallest feasible L1 (resp. F1) for a fixed slice; assumes
   /// feasibility is monotone in the searched dimension.
-  int min_ls_ways(double qps_real, AppSlice slice) const;
-  int min_ls_freq(double qps_real, AppSlice slice) const;
+  int min_ls_ways(double qps_real, AppSlice slice, std::uint64_t& calls) const;
+  int min_ls_freq(double qps_real, AppSlice slice, std::uint64_t& calls) const;
 
-  /// Largest F2 whose total power fits the budget, or nullopt if even the
-  /// lowest P-state overshoots.
-  std::optional<int> max_be_freq(double qps_real, const AppSlice& ls,
-                                 AppSlice be) const;
+  /// Largest F2 whose total power (the fixed LS slice's predicted `ls_w`
+  /// plus the BE slice's) fits the budget, or nullopt if even the lowest
+  /// P-state overshoots. BE power is a table lookup: no model calls.
+  std::optional<int> max_be_freq(double ls_w, AppSlice be) const;
 
   /// Evaluate one candidate LS core count: just-enough ways and
   /// frequency, BE complement, budget-limited F2, predicted throughput
   /// and power. Shared by search() and search_parallel(); nullopt when
   /// the candidate leaves nothing for the BE app or busts the budget.
-  std::optional<Candidate> evaluate_candidate(double qps_real, int c1) const;
+  std::optional<Candidate> evaluate_candidate(double qps_real, int c1,
+                                              std::uint64_t& calls) const;
 
   const Predictor& predictor_;
   double budget_w_;

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "telemetry/context.h"
+#include "telemetry/metrics.h"
 #include "telemetry/monitor.h"
 #include "util/check.h"
 #include "util/invariants.h"
@@ -23,6 +25,22 @@ const Predictor& require_predictor(
     throw std::invalid_argument("SturgeonController: null predictor");
   }
   return *predictor;
+}
+
+// The instrument behind `slot`, looked up by name only when the slot is
+// empty (first use after each telemetry attach).
+telemetry::Gauge& bound(telemetry::Gauge*& slot,
+                        telemetry::MetricsRegistry& metrics,
+                        std::string_view name) {
+  if (slot == nullptr) slot = &metrics.gauge(name);
+  return *slot;
+}
+
+telemetry::Counter& bound(telemetry::Counter*& slot,
+                          telemetry::MetricsRegistry& metrics,
+                          std::string_view name) {
+  if (slot == nullptr) slot = &metrics.counter(name);
+  return *slot;
 }
 
 }  // namespace
@@ -67,6 +85,11 @@ void SturgeonController::rebind_instruments() {
   balancer_actions_counter_ = &metrics.counter("controller.balancer_actions");
   search_.set_tracer(&telemetry().tracer());
   balancer_.bind_telemetry(&metrics, &telemetry().tracer());
+  model_calls_counter_ = nullptr;
+  power_cap_gauge_ = nullptr;
+  reserve_cores_gauge_ = nullptr;
+  reserve_ways_gauge_ = nullptr;
+  reserve_freq_gauge_ = nullptr;
 }
 
 void SturgeonController::on_telemetry_attached() { rebind_instruments(); }
@@ -74,7 +97,8 @@ void SturgeonController::on_telemetry_attached() { rebind_instruments(); }
 void SturgeonController::set_power_cap(double watts) {
   search_.set_power_budget(watts);
   balancer_.set_power_budget(watts);
-  telemetry().metrics().gauge("controller.power_cap_w").set(watts);
+  bound(power_cap_gauge_, telemetry().metrics(), "controller.power_cap_w")
+      .set(watts);
 }
 
 std::uint64_t SturgeonController::searches_run() const {
@@ -93,6 +117,7 @@ void SturgeonController::reset() {
   decisions_counter_->reset();
   searches_counter_->reset();
   balancer_actions_counter_->reset();
+  if (model_calls_counter_ != nullptr) model_calls_counter_->reset();
 }
 
 Partition SturgeonController::apply_reserves(Partition p) const {
@@ -128,13 +153,12 @@ Partition SturgeonController::finish_decision(const Partition& p,
   last_decision_.predicted_power_w = predicted_power_w;
 
   auto& metrics = telemetry().metrics();
-  metrics.gauge("controller.reserves.cores")
+  bound(reserve_cores_gauge_, metrics, "controller.reserves.cores")
       .set(static_cast<double>(reserves_.cores));
-  metrics.gauge("controller.reserves.ways")
+  bound(reserve_ways_gauge_, metrics, "controller.reserves.ways")
       .set(static_cast<double>(reserves_.ways));
-  metrics.gauge("controller.reserves.freq")
+  bound(reserve_freq_gauge_, metrics, "controller.reserves.freq")
       .set(static_cast<double>(reserves_.freq));
-  predictor_->publish_metrics(metrics);
   return p;
 }
 
@@ -229,13 +253,17 @@ Partition SturgeonController::decide(const sim::ServerTelemetry& sample,
     telemetry::Span span = tracer.start_span("search");
     result = search_.search(qps);
     searches_counter_->inc();
+    bound(model_calls_counter_, telemetry().metrics(), "controller.model_calls")
+        .add(result.model_invocations);
     result.best = apply_reserves(result.best);
-    span.attr("feasible", result.feasible)
-        .attr("model_calls", result.model_invocations)
-        .attr("predicted_throughput", result.predicted_throughput)
-        .attr("predicted_power_w", result.predicted_power_w)
-        .attr("chosen", result.best.to_string(predictor_->machine()))
-        .attr("cache_hit_rate", predictor_->cache_stats().hit_rate());
+    if (span.active()) {
+      span.attr("feasible", result.feasible)
+          .attr("model_calls", result.model_invocations)
+          .attr("predicted_throughput", result.predicted_throughput)
+          .attr("predicted_power_w", result.predicted_power_w)
+          .attr("chosen", result.best.to_string(predictor_->machine()))
+          .attr("cache_hit_rate", predictor_->cache_stats().hit_rate());
+    }
   }
   ValidateConfig(predictor_->machine(), result.best,
                  "SturgeonController::decide(apply_reserves)");

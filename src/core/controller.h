@@ -20,8 +20,9 @@
 // Observability: every decide() opens child spans (features, search,
 // balance) under the caller's epoch span and reports through the
 // attached TelemetryContext -- counters "controller.searches",
-// "controller.balancer_actions", "controller.decisions", gauges for the
-// compensation reserves and the predictor's cache/model-call state.
+// "controller.balancer_actions", "controller.decisions",
+// "controller.model_calls" (the model evaluations this node's searches
+// caused), and gauges for the compensation reserves and the power cap.
 // searches_run()/balancer_actions() read those registry instruments.
 #pragma once
 
@@ -34,6 +35,7 @@
 
 namespace sturgeon::telemetry {
 class Counter;
+class Gauge;
 }  // namespace sturgeon::telemetry
 
 namespace sturgeon::core {
@@ -124,6 +126,13 @@ class SturgeonController : public Policy {
   telemetry::Counter* decisions_counter_ = nullptr;
   telemetry::Counter* searches_counter_ = nullptr;
   telemetry::Counter* balancer_actions_counter_ = nullptr;
+  // Looked up on first use after each attach, so a controller that never
+  // searches, decides or re-caps registers nothing for them.
+  telemetry::Counter* model_calls_counter_ = nullptr;
+  telemetry::Gauge* power_cap_gauge_ = nullptr;
+  telemetry::Gauge* reserve_cores_gauge_ = nullptr;
+  telemetry::Gauge* reserve_ways_gauge_ = nullptr;
+  telemetry::Gauge* reserve_freq_gauge_ = nullptr;
 };
 
 }  // namespace sturgeon::core

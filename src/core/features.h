@@ -15,6 +15,10 @@ namespace sturgeon::core {
 /// distance- and gradient-based model families.
 ml::FeatureRow ls_features(const MachineSpec& m, double qps_real,
                            const AppSlice& slice);
+/// The same row written into `row`, reusing its storage (the predictor's
+/// per-query path allocates nothing once `row` has grown to four values).
+void ls_features(const MachineSpec& m, double qps_real, const AppSlice& slice,
+                 ml::FeatureRow& row);
 
 /// BE model features: {input level, cores, frequency GHz, LLC ways}.
 /// PARSEC defines six input levels; this reproduction runs the native

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/check.h"
 
@@ -23,9 +24,36 @@ void ModelCallCounters::reset() {
   be_power.store(0, std::memory_order_relaxed);
 }
 
+SliceGrid::SliceGrid(const MachineSpec& machine)
+    : max_cores_(machine.num_cores),
+      levels_(machine.num_freq_levels()),
+      ways_(machine.llc_ways + 1),
+      size_(static_cast<std::size_t>(machine.num_cores + 1) *
+            static_cast<std::size_t>(levels_) *
+            static_cast<std::size_t>(ways_)) {}
+
+void SliceGrid::throw_outside(const AppSlice& slice) {
+  throw std::out_of_range("SliceGrid: slice <" + std::to_string(slice.cores) +
+                          "C, level " + std::to_string(slice.freq_level) +
+                          ", " + std::to_string(slice.llc_ways) +
+                          "L> outside the machine");
+}
+
+AppSlice SliceGrid::at(std::size_t index) const {
+  STURGEON_DCHECK(index < size_,
+                  "SliceGrid::at: index " << index << " >= " << size_);
+  const auto nf = static_cast<std::size_t>(levels_);
+  const auto nw = static_cast<std::size_t>(ways_);
+  AppSlice s;
+  s.llc_ways = static_cast<int>(index % nw);
+  s.freq_level = static_cast<int>((index / nw) % nf);
+  s.cores = static_cast<int>(index / (nw * nf));
+  return s;
+}
+
 PredictionCache::PredictionCache(const MachineSpec& machine,
                                  PredictionCacheConfig config)
-    : machine_(machine), config_(config) {
+    : grid_(machine), config_(config) {
   if (!std::isfinite(config.qps_bucket_width) ||
       config.qps_bucket_width <= 0.0) {
     throw std::invalid_argument("PredictionCache: bad qps_bucket_width");
@@ -33,37 +61,10 @@ PredictionCache::PredictionCache(const MachineSpec& machine,
   if (config.num_shards < 1) {
     throw std::invalid_argument("PredictionCache: num_shards < 1");
   }
-  table_size_ = static_cast<std::size_t>(machine_.num_cores + 1) *
-                static_cast<std::size_t>(machine_.num_freq_levels()) *
-                static_cast<std::size_t>(machine_.llc_ways + 1);
   shards_.reserve(config_.num_shards);
   for (std::size_t i = 0; i < config_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-}
-
-std::size_t PredictionCache::slice_index(const AppSlice& slice) const {
-  STURGEON_DCHECK_RANGE(slice.cores, 0, machine_.num_cores);
-  STURGEON_DCHECK_RANGE(slice.freq_level, 0, machine_.max_freq_level());
-  STURGEON_DCHECK_RANGE(slice.llc_ways, 0, machine_.llc_ways);
-  const std::size_t nf = static_cast<std::size_t>(machine_.num_freq_levels());
-  const std::size_t nw = static_cast<std::size_t>(machine_.llc_ways + 1);
-  return (static_cast<std::size_t>(slice.cores) * nf +
-          static_cast<std::size_t>(slice.freq_level)) *
-             nw +
-         static_cast<std::size_t>(slice.llc_ways);
-}
-
-AppSlice PredictionCache::slice_at(std::size_t index) const {
-  STURGEON_DCHECK(index < table_size_,
-                  "slice_at: index " << index << " >= " << table_size_);
-  const std::size_t nf = static_cast<std::size_t>(machine_.num_freq_levels());
-  const std::size_t nw = static_cast<std::size_t>(machine_.llc_ways + 1);
-  AppSlice s;
-  s.llc_ways = static_cast<int>(index % nw);
-  s.freq_level = static_cast<int>((index / nw) % nf);
-  s.cores = static_cast<int>(index / (nw * nf));
-  return s;
 }
 
 std::int64_t PredictionCache::bucket_of(double qps_real) const {
@@ -90,7 +91,7 @@ int PredictionCache::ls_qos(double qps_real, const AppSlice& slice,
       table = e.qos;
     } else {
       misses_.fetch_add(1, std::memory_order_relaxed);
-      auto fresh = std::make_shared<std::vector<int>>(table_size_, 0);
+      auto fresh = std::make_shared<std::vector<int>>(grid_.size(), 0);
       fill(qps_real, *fresh);
       fills_.fetch_add(1, std::memory_order_relaxed);
       e.qos = std::move(fresh);
@@ -115,7 +116,7 @@ double PredictionCache::ls_power(double qps_real, const AppSlice& slice,
       table = e.power;
     } else {
       misses_.fetch_add(1, std::memory_order_relaxed);
-      auto fresh = std::make_shared<std::vector<double>>(table_size_, 0.0);
+      auto fresh = std::make_shared<std::vector<double>>(grid_.size(), 0.0);
       fill(qps_real, *fresh);
       fills_.fetch_add(1, std::memory_order_relaxed);
       e.power = std::move(fresh);
@@ -135,7 +136,7 @@ double PredictionCache::be_ipc(const AppSlice& slice, const FillDouble& fill) {
       hits_.fetch_add(1, std::memory_order_relaxed);
     } else {
       misses_.fetch_add(1, std::memory_order_relaxed);
-      auto fresh = std::make_shared<std::vector<double>>(table_size_, 0.0);
+      auto fresh = std::make_shared<std::vector<double>>(grid_.size(), 0.0);
       fill(0.0, *fresh);
       fills_.fetch_add(1, std::memory_order_relaxed);
       be_ipc_table_ = std::move(fresh);
@@ -155,7 +156,7 @@ double PredictionCache::be_power(const AppSlice& slice,
       hits_.fetch_add(1, std::memory_order_relaxed);
     } else {
       misses_.fetch_add(1, std::memory_order_relaxed);
-      auto fresh = std::make_shared<std::vector<double>>(table_size_, 0.0);
+      auto fresh = std::make_shared<std::vector<double>>(grid_.size(), 0.0);
       fill(0.0, *fresh);
       fills_.fetch_add(1, std::memory_order_relaxed);
       be_power_table_ = std::move(fresh);

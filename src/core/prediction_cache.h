@@ -39,6 +39,39 @@
 
 namespace sturgeon::core {
 
+/// Dense index over every (cores, freq_level, llc_ways) slice of a
+/// machine, each dimension including 0, so complement and degenerate
+/// slices index without special cases. The predictor's BE tables and the
+/// cache's tables share this geometry. index() checks its argument in
+/// every build: a slice outside the machine throws std::out_of_range.
+class SliceGrid {
+ public:
+  explicit SliceGrid(const MachineSpec& machine);
+
+  std::size_t size() const { return size_; }
+
+  std::size_t index(const AppSlice& slice) const {
+    if (slice.cores < 0 || slice.cores > max_cores_ ||
+        slice.freq_level < 0 || slice.freq_level >= levels_ ||
+        slice.llc_ways < 0 || slice.llc_ways >= ways_) {
+      throw_outside(slice);
+    }
+    return static_cast<std::size_t>(
+        (slice.cores * levels_ + slice.freq_level) * ways_ + slice.llc_ways);
+  }
+
+  /// Inverse of index(); `index` must be below size().
+  AppSlice at(std::size_t index) const;
+
+ private:
+  [[noreturn]] static void throw_outside(const AppSlice& slice);
+
+  int max_cores_;
+  int levels_;  ///< P-states
+  int ways_;    ///< way counts 0..llc_ways
+  std::size_t size_;
+};
+
 struct PredictionCacheConfig {
   /// Real-scale QPS per bucket. Only bounds table count (see above).
   double qps_bucket_width = 50.0;
@@ -93,12 +126,12 @@ class PredictionCache {
 
   telemetry::PredictionCacheStats stats() const;
 
-  /// Dense-table geometry: index over (cores, freq_level, llc_ways) with
-  /// each dimension including 0, so complement/degenerate slices index
-  /// without special cases.
-  std::size_t table_size() const { return table_size_; }
-  std::size_t slice_index(const AppSlice& slice) const;
-  AppSlice slice_at(std::size_t index) const;
+  /// Dense-table geometry (see SliceGrid).
+  std::size_t table_size() const { return grid_.size(); }
+  std::size_t slice_index(const AppSlice& slice) const {
+    return grid_.index(slice);
+  }
+  AppSlice slice_at(std::size_t index) const { return grid_.at(index); }
 
  private:
   struct LsEntry {
@@ -115,9 +148,8 @@ class PredictionCache {
   std::int64_t bucket_of(double qps_real) const;
   Shard& shard_of(std::int64_t bucket);
 
-  MachineSpec machine_;
+  SliceGrid grid_;
   PredictionCacheConfig config_;
-  std::size_t table_size_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   Mutex be_mu_;

@@ -18,12 +18,15 @@ void MlpNet::init(std::size_t input_dim, const std::vector<int>& hidden,
   biases_.clear();
   in_dims_.clear();
   out_dims_.clear();
+  max_hidden_width_ = 0;
   Rng rng(seed);
   std::size_t prev = input_dim;
   std::vector<std::size_t> dims;
   for (int h : hidden) {
     if (h < 1) throw std::invalid_argument("MlpNet: hidden width < 1");
     dims.push_back(static_cast<std::size_t>(h));
+    max_hidden_width_ =
+        std::max(max_hidden_width_, static_cast<std::size_t>(h));
   }
   dims.push_back(1);  // scalar output
   for (std::size_t out : dims) {
@@ -81,6 +84,34 @@ double MlpNet::forward(const FeatureRow& row,
     in_dim = out_dim;
   }
   return out_preact;
+}
+
+double MlpNet::infer(const double* row) const {
+  if (!initialized()) throw std::logic_error("MlpNet: not initialized");
+  // Two ping-pong activation buffers, each as wide as the widest layer.
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < 2 * max_hidden_width_) {
+    scratch.resize(2 * max_hidden_width_);
+  }
+  const double* input = row;
+  std::size_t in_dim = in_dims_[0];
+  const std::size_t out_layer = weights_.size() - 1;
+  for (std::size_t l = 0; l < out_layer; ++l) {
+    double* act = scratch.data() + (l % 2) * max_hidden_width_;
+    for (std::size_t j = 0; j < out_dims_[l]; ++j) {
+      double z = biases_[l][j];
+      const double* wrow = &weights_[l][j * in_dim];
+      for (std::size_t i = 0; i < in_dim; ++i) z += wrow[i] * input[i];
+      act[j] = std::tanh(z);
+    }
+    input = act;
+    in_dim = out_dims_[l];
+  }
+  // Scalar, linear output layer (the wrapper applies its activation).
+  double z = biases_[out_layer][0];
+  const double* wrow = weights_[out_layer].data();
+  for (std::size_t i = 0; i < in_dim; ++i) z += wrow[i] * input[i];
+  return z;
 }
 
 void MlpNet::forward_batch(const double* xs, std::size_t n,
@@ -168,6 +199,18 @@ double sigmoid(double z) {
   const double e = std::exp(z);
   return e / (1.0 + e);
 }
+
+/// `row` standardized by `scaler` into per-thread storage (valid until
+/// the thread's next call), for the allocation-free scalar predict path.
+const double* scaled_row(const StandardScaler& scaler, const FeatureRow& row) {
+  if (row.size() != scaler.dim()) {
+    throw std::invalid_argument("StandardScaler::transform: arity mismatch");
+  }
+  thread_local std::vector<double> scaled;
+  scaled.resize(row.size());
+  scaler.transform_into(row.data(), scaled.data());
+  return scaled.data();
+}
 }  // namespace
 
 MlpRegressor::MlpRegressor(MlpParams params) : params_(std::move(params)) {
@@ -218,9 +261,7 @@ void MlpRegressor::fit(const DataSet& data) {
 
 double MlpRegressor::predict(const FeatureRow& row) const {
   if (!scaler_.fitted()) throw std::logic_error("MlpRegressor: not fitted");
-  std::vector<std::vector<double>> acts;
-  const double v = net_.forward(scaler_.transform(row), acts) * y_scale_ +
-                   y_mean_;
+  const double v = net_.infer(scaled_row(scaler_, row)) * y_scale_ + y_mean_;
   STURGEON_DCHECK(std::isfinite(v), "MlpRegressor: non-finite prediction");
   return v;
 }
@@ -286,8 +327,7 @@ void MlpClassifier::fit(const std::vector<FeatureRow>& x,
 
 double MlpClassifier::predict_proba(const FeatureRow& row) const {
   if (!scaler_.fitted()) throw std::logic_error("MlpClassifier: not fitted");
-  std::vector<std::vector<double>> acts;
-  return sigmoid(net_.forward(scaler_.transform(row), acts));
+  return sigmoid(net_.infer(scaled_row(scaler_, row)));
 }
 
 int MlpClassifier::predict(const FeatureRow& row) const {

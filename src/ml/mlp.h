@@ -32,6 +32,13 @@ class MlpNet {
   double forward(const FeatureRow& row,
                  std::vector<std::vector<double>>& acts) const;
 
+  /// Inference-only forward pass over one already scaled row of
+  /// input_dim values: the same arithmetic in the same order as forward()
+  /// (so bit-identical to it), through per-thread scratch that grows to
+  /// the widest layer once and is reused, so steady-state calls allocate
+  /// nothing. Safe to call concurrently.
+  double infer(const double* row) const;
+
   /// Batched forward over `n` densely packed (already scaled) rows; writes
   /// the n pre-activation outputs. Each layer is one matrix-matrix product,
   /// but the per-output accumulation order matches forward() bit-for-bit.
@@ -53,6 +60,7 @@ class MlpNet {
   std::vector<std::vector<double>> weights_;
   std::vector<std::vector<double>> biases_;
   std::vector<std::size_t> in_dims_, out_dims_;
+  std::size_t max_hidden_width_ = 0;
   // Gradient accumulators and Adam moments (same shapes as weights/biases).
   std::vector<std::vector<double>> gw_, gb_, mw_, vw_, mb_, vb_;
 };

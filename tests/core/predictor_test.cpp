@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 #include "fake_models.h"
 
 namespace sturgeon::core {
@@ -49,14 +52,43 @@ TEST(Predictor, TotalPowerComposes) {
 
 TEST(Predictor, CountsInvocations) {
   const auto p = testing::fake_predictor(m);
+  // Construction swept each BE model once over every slice with cores >= 1.
+  const auto grid = static_cast<std::uint64_t>(m.num_cores) *
+                    static_cast<std::uint64_t>(m.num_freq_levels()) *
+                    static_cast<std::uint64_t>(m.llc_ways + 1);
+  const ModelCallBreakdown filled = p->model_call_breakdown();
+  EXPECT_EQ(filled.be_power, grid);
+  EXPECT_EQ(filled.be_ipc, grid);
+  EXPECT_EQ(filled.ls_qos + filled.ls_power, 0u);
+
+  // An LS query runs its model once; a BE answer is a table lookup.
   const auto base = p->model_invocations();
   p->ls_qos_ok(1000.0, {4, 4, 6});
   p->be_ipc({10, 8, 10});
   Partition part;
   part.ls = {4, 4, 6};
   part.be = {16, 8, 14};
-  p->total_power_w(1000.0, part);  // ls_power + be_power = 2 calls
-  EXPECT_EQ(p->model_invocations() - base, 4u);
+  p->total_power_w(1000.0, part);  // ls_power call + be_power lookup
+  EXPECT_EQ(p->model_invocations() - base, 2u);
+}
+
+TEST(Predictor, ReportsCallsPerQuery) {
+  const auto p = testing::fake_predictor(m);
+  std::uint64_t calls = 0;
+  p->ls_qos_ok(1000.0, {4, 4, 6}, &calls);
+  p->ls_power_w(1000.0, {4, 4, 6}, &calls);
+  EXPECT_EQ(calls, 2u);
+  p->be_power_w({16, 8, 14});
+  p->be_throughput({16, 8, 14});
+  EXPECT_EQ(calls, 2u);
+}
+
+TEST(Predictor, BeSliceOutsideMachineRejected) {
+  const auto p = testing::fake_predictor(m);
+  EXPECT_THROW(p->be_power_w({m.num_cores + 1, 0, 4}), std::out_of_range);
+  EXPECT_THROW(p->be_ipc({4, m.num_freq_levels(), 4}), std::out_of_range);
+  EXPECT_THROW(p->be_power_w({4, 0, m.llc_ways + 1}), std::out_of_range);
+  EXPECT_THROW(p->be_throughput({4, -1, 4}), std::out_of_range);
 }
 
 }  // namespace
