@@ -90,10 +90,17 @@ void BM_BalancerInvocation(benchmark::State& state) {
   Partition p;
   p.ls = AppSlice{6, 8, 6};
   p.be = AppSlice{14, 8, 14};
+  // Single-threaded, so the shared predictor's counter is this loop's.
+  const std::uint64_t calls_before = fx.predictor->model_invocations();
+  std::uint64_t steps = 0;
   for (auto _ : state) {
     balancer.arm(p);
     benchmark::DoNotOptimize(balancer.step(/*slack=*/0.02, fx.qps, p));
+    ++steps;
   }
+  state.counters["model_calls_per_step"] =
+      static_cast<double>(fx.predictor->model_invocations() - calls_before) /
+      static_cast<double>(steps);
 }
 
 }  // namespace
