@@ -187,6 +187,16 @@ TEST(PredictionCache, SteadyStateSearchUsesNoModelCalls) {
   expect_same_result(cold, warm, "steady state");
 }
 
+// A cold search counts exactly the two LS tables it filled; the BE
+// tables the cache copies from the predictor run no model.
+TEST(PredictionCache, ColdSearchCountsItsFills) {
+  auto cached = cached_predictor();
+  ConfigSearch search(*cached, 140.0);
+  const auto cold = search.search(12000.0);
+  EXPECT_EQ(cached->cache_stats().fills, 4u);  // ls_qos, ls_power, 2 BE
+  EXPECT_EQ(cold.model_invocations, 2 * expected_table_size());
+}
+
 // TSan target: many workers race on the shard mutexes and published
 // tables while the pool evaluates candidates concurrently.
 TEST(PredictionCache, ConcurrentParallelSearchIsRaceFree) {
