@@ -101,12 +101,19 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
+LognormalParams lognormal_params(double mean, double cv) {
+  const double sigma2 = std::log(1.0 + cv * cv);
+  return {std::log(mean) - 0.5 * sigma2, std::sqrt(sigma2)};
+}
+
 double Rng::lognormal_mean_cv(double mean, double cv) {
   if (mean <= 0.0) throw std::invalid_argument("lognormal_mean_cv: mean <= 0");
   if (cv <= 0.0) return mean;
-  const double sigma2 = std::log(1.0 + cv * cv);
-  const double mu = std::log(mean) - 0.5 * sigma2;
-  return std::exp(mu + std::sqrt(sigma2) * normal());
+  return lognormal(lognormal_params(mean, cv));
+}
+
+double Rng::lognormal(const LognormalParams& p) {
+  return std::exp(p.mu + p.sigma * normal());
 }
 
 std::uint64_t Rng::poisson(double mean) {

@@ -28,6 +28,17 @@ std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream);
 std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream,
                           std::uint64_t substream);
 
+/// Log-space parameters of a lognormal: exp(mu + sigma * N(0, 1)).
+struct LognormalParams {
+  double mu = 0.0;
+  double sigma = 0.0;
+};
+
+/// The lognormal whose *mean* is `mean` (> 0) and whose coefficient of
+/// variation is `cv` (> 0). Rng::lognormal_mean_cv draws through it;
+/// callers that draw many times from one distribution compute it once.
+LognormalParams lognormal_params(double mean, double cv);
+
 /// xoshiro256++ generator with convenience distributions.
 class Rng {
  public:
@@ -59,8 +70,12 @@ class Rng {
 
   /// Lognormal such that the *mean* of the distribution is `mean` and the
   /// coefficient of variation is `cv`. Useful for service-time draws where
-  /// we reason in terms of mean demand.
+  /// we reason in terms of mean demand. cv <= 0 returns `mean` exactly
+  /// and draws nothing.
   double lognormal_mean_cv(double mean, double cv);
+
+  /// One draw from the lognormal with log-space parameters `p`.
+  double lognormal(const LognormalParams& p);
 
   /// Poisson-distributed count (Knuth for small means, normal approx for
   /// large means).

@@ -48,15 +48,60 @@ double OnlineStats::sample_variance() const {
 
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
-double percentile_sorted(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) throw std::invalid_argument("percentile of empty set");
-  if (p <= 0.0) return sorted.front();
-  if (p >= 100.0) return sorted.back();
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+namespace {
+
+/// Where the p-th percentile of n sorted values lies: the value at rank
+/// `k`, or, when `interpolate`, between ranks k and k + 1 at `frac`.
+struct PercentileRank {
+  std::size_t k = 0;
+  double frac = 0.0;
+  bool interpolate = false;
+};
+
+PercentileRank percentile_rank(std::size_t n, double p) {
+  if (p <= 0.0) return {0, 0.0, false};
+  if (p >= 100.0) return {n - 1, 0.0, false};
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+  if (lo + 1 >= n) return {n - 1, 0.0, false};
+  return {lo, frac, true};
+}
+
+double interpolate(double at_k, double at_next, double frac) {
+  return at_k * (1.0 - frac) + at_next * frac;
+}
+
+}  // namespace
+
+double percentile_sorted(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) throw std::invalid_argument("percentile of empty set");
+  const PercentileRank r = percentile_rank(sorted.size(), p);
+  return r.interpolate ? interpolate(sorted[r.k], sorted[r.k + 1], r.frac)
+                       : sorted[r.k];
+}
+
+std::pair<double, double> percentile_pair(std::vector<double>& values,
+                                          double p_lo, double p_hi) {
+  if (values.empty()) throw std::invalid_argument("percentile of empty set");
+  if (!(p_lo <= p_hi)) {
+    throw std::invalid_argument("percentile_pair: p_lo > p_hi");
+  }
+  double* const v = values.data();
+  double* const end = v + values.size();
+  // Precondition: [from, n) holds exactly the order statistics from..n-1.
+  // Selecting rank k leaves [k + 1, n) holding ranks k + 1..n-1, so the
+  // rank after k is that tail's minimum and a higher rank is a second
+  // selection inside it.
+  const auto select = [&](std::size_t from, const PercentileRank& r) {
+    std::nth_element(v + from, v + r.k, end);
+    if (!r.interpolate) return v[r.k];
+    return interpolate(v[r.k], *std::min_element(v + r.k + 1, end), r.frac);
+  };
+  const PercentileRank lo = percentile_rank(values.size(), p_lo);
+  const PercentileRank hi = percentile_rank(values.size(), p_hi);
+  const double at_lo = select(0, lo);
+  return {at_lo, select(lo.k, hi)};
 }
 
 double percentile(std::vector<double> values, double p) {

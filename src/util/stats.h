@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace sturgeon {
@@ -38,6 +39,13 @@ double percentile(std::vector<double> values, double p);
 
 /// Percentile over an already-sorted ascending range (no copy).
 double percentile_sorted(const std::vector<double>& sorted, double p);
+
+/// The p_lo-th and p_hi-th percentiles (p_lo <= p_hi) of `values`, each
+/// equal to percentile_sorted on a sorted copy, found by selection in
+/// O(n) instead of a sort. Reorders `values`. Bit-identical for any
+/// values without NaN (-0.0 and +0.0 tie, so either may be returned).
+std::pair<double, double> percentile_pair(std::vector<double>& values,
+                                          double p_lo, double p_hi);
 
 /// P² (Jain & Chlamtac) single-quantile online estimator: O(1) memory,
 /// no sample storage. Used by the 1 s telemetry sampler for p95/p99.

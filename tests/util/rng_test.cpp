@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 namespace sturgeon {
@@ -104,6 +106,21 @@ TEST(Rng, LognormalMeanCv) {
   EXPECT_NEAR(sum / n, 3.0, 0.05);
   // cv=0 degenerates to the mean.
   EXPECT_DOUBLE_EQ(rng.lognormal_mean_cv(3.0, 0.0), 3.0);
+}
+
+TEST(Rng, LognormalParamsDrawLikeMeanCv) {
+  // Set up once and draw many times: the same draws as lognormal_mean_cv.
+  const LognormalParams p = lognormal_params(1.7, 0.9);
+  Rng a(31), b(31);
+  for (int i = 0; i < 1000; ++i) {
+    const double x = a.lognormal_mean_cv(1.7, 0.9);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x),
+              std::bit_cast<std::uint64_t>(b.lognormal(p)));
+  }
+  // cv <= 0 returns the mean and leaves the stream where it was.
+  EXPECT_EQ(a.lognormal_mean_cv(1.7, 0.0), 1.7);
+  EXPECT_EQ(a.lognormal_mean_cv(1.7, -1.0), 1.7);
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 TEST(DeriveSeed, StableAndDecorrelated) {
