@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "cluster/cluster.h"
+#include "fleet/fleet.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -92,19 +92,18 @@ cluster::ClusterResult run_fleet(std::vector<cluster::NodeSpec> specs,
                                  cluster::CoordinatorKind kind,
                                  double oversubscription,
                                  double* wall_s = nullptr) {
-  cluster::ClusterConfig config;
-  config.seed = 11;
-  config.coordinator = kind;
-  config.oversubscription = oversubscription;
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster::ClusterSim sim(std::move(specs), config);
+  // Quiescence and churn stay off: every node steps every epoch.
+  fleet::FleetConfig config;
+  config.cluster.seed = 11;
+  config.cluster.coordinator = kind;
+  config.cluster.oversubscription = oversubscription;
+  fleet::FleetSim sim(std::move(specs), config);
   const auto t1 = std::chrono::steady_clock::now();
-  const auto result = sim.run();
+  const auto result = sim.run().cluster;
   const auto t2 = std::chrono::steady_clock::now();
   if (wall_s != nullptr) {
     *wall_s = std::chrono::duration<double>(t2 - t1).count();
   }
-  (void)t0;
   return result;
 }
 

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "cluster/cluster.h"
+#include "fleet/fleet.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -90,16 +90,17 @@ cluster::ResilienceConfig armed_resilience() {
 
 cluster::ClusterResult timed_run(int nodes, int epochs, bool armed,
                                  double* wall_s) {
-  cluster::ClusterConfig config;
-  config.seed = 11;
-  config.coordinator = cluster::CoordinatorKind::kSlackHarvest;
-  config.oversubscription = 0.90;
-  if (armed) config.resilience = armed_resilience();
-  // config.faults stays default-constructed: injector disabled.
+  // Quiescence and churn stay off: every node steps every epoch.
+  fleet::FleetConfig config;
+  config.cluster.seed = 11;
+  config.cluster.coordinator = cluster::CoordinatorKind::kSlackHarvest;
+  config.cluster.oversubscription = 0.90;
+  if (armed) config.cluster.resilience = armed_resilience();
+  // config.cluster.faults stays default-constructed: injector disabled.
   const LoadTrace base = LoadTrace::diurnal(0.2, 0.8, epochs);
-  cluster::ClusterSim sim(uniform_fleet(nodes, base), config);
+  fleet::FleetSim sim(uniform_fleet(nodes, base), config);
   const auto t1 = std::chrono::steady_clock::now();
-  const auto result = sim.run();
+  const auto result = sim.run().cluster;
   const auto t2 = std::chrono::steady_clock::now();
   *wall_s = std::chrono::duration<double>(t2 - t1).count();
   return result;

@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
 #include "cluster/export.h"
+#include "fleet/fleet.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -88,13 +88,17 @@ int main(int argc, char** argv) {
 
   std::cout << "Chaos demo: " << nodes << " nodes, " << duration
             << " epochs; training models...\n";
-  cluster::ClusterSim clean_sim(build_fleet(nodes, duration), base_config());
-  const cluster::ClusterResult clean = clean_sim.run();
+  // Quiescence and churn stay off: every node steps every epoch.
+  fleet::FleetConfig clean_config;
+  clean_config.cluster = base_config();
+  fleet::FleetSim clean_sim(build_fleet(nodes, duration), clean_config);
+  const cluster::ClusterResult clean = clean_sim.run().cluster;
 
-  cluster::ClusterConfig faulted_config = base_config();
-  faulted_config.faults = standard_chaos(duration, /*victim=*/1);
-  cluster::ClusterSim chaos_sim(build_fleet(nodes, duration), faulted_config);
-  const cluster::ClusterResult chaos = chaos_sim.run();
+  fleet::FleetConfig faulted_config;
+  faulted_config.cluster = base_config();
+  faulted_config.cluster.faults = standard_chaos(duration, /*victim=*/1);
+  fleet::FleetSim chaos_sim(build_fleet(nodes, duration), faulted_config);
+  const cluster::ClusterResult chaos = chaos_sim.run().cluster;
 
   TablePrinter table({"run", "fleet QoS", "agg BE thr", "max cap-sum ratio",
                       "dead epochs", "recoveries", "MTTR p95"});

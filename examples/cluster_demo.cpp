@@ -11,8 +11,8 @@
 #include <iostream>
 #include <string>
 
-#include "cluster/cluster.h"
 #include "cluster/export.h"
+#include "fleet/fleet.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -53,20 +53,21 @@ int main(int argc, char** argv) {
     specs.push_back(std::move(spec));
   }
 
-  cluster::ClusterConfig config;
-  config.seed = 7;
-  config.coordinator = cluster::CoordinatorKind::kSlackHarvest;
-  config.node_tracing = true;
+  // Quiescence and churn stay off: every node steps every epoch.
+  fleet::FleetConfig config;
+  config.cluster.seed = 7;
+  config.cluster.coordinator = cluster::CoordinatorKind::kSlackHarvest;
+  config.cluster.node_tracing = true;
 
   std::cout << "Cluster of " << nodes << " nodes serving " << ls.name
             << "; training models...\n";
-  cluster::ClusterSim sim(std::move(specs), config);
+  fleet::FleetSim sim(std::move(specs), config);
   std::cout << "cluster power budget: "
             << TablePrinter::fmt(sim.cluster_budget_w(), 1) << " W ("
-            << TablePrinter::fmt_pct(config.oversubscription, 0)
+            << TablePrinter::fmt_pct(config.cluster.oversubscription, 0)
             << " of the fleet's summed node budgets)\n\n";
 
-  const cluster::ClusterResult result = sim.run();
+  const cluster::ClusterResult result = sim.run().cluster;
 
   TablePrinter table({"node", "BE app", "QoS rate", "BE thr", "mean cap W",
                       "throttled"});

@@ -20,8 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
 #include "cluster/export.h"
+#include "fleet/fleet.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -84,13 +84,16 @@ int main(int argc, char** argv) {
 
   std::cout << "Chaos-net demo: " << nodes << " nodes, " << duration
             << " epochs over the message channel; training models...\n";
-  cluster::ClusterSim clean_sim(build_fleet(nodes, duration),
-                                comms_config(duration, /*chaos=*/false));
-  const cluster::ClusterResult clean = clean_sim.run();
+  // Quiescence and churn stay off: every node steps every epoch.
+  fleet::FleetConfig clean_config;
+  clean_config.cluster = comms_config(duration, /*chaos=*/false);
+  fleet::FleetSim clean_sim(build_fleet(nodes, duration), clean_config);
+  const cluster::ClusterResult clean = clean_sim.run().cluster;
 
-  cluster::ClusterSim chaos_sim(build_fleet(nodes, duration),
-                                comms_config(duration, /*chaos=*/true));
-  const cluster::ClusterResult chaos = chaos_sim.run();
+  fleet::FleetConfig chaos_config;
+  chaos_config.cluster = comms_config(duration, /*chaos=*/true);
+  fleet::FleetSim chaos_sim(build_fleet(nodes, duration), chaos_config);
+  const cluster::ClusterResult chaos = chaos_sim.run().cluster;
 
   TablePrinter table({"network", "fleet QoS", "agg BE thr",
                       "max cap-sum ratio", "dead epochs", "msgs dropped",

@@ -106,7 +106,7 @@ Partition HeraclesController::decide(const sim::ServerTelemetry& sample,
       }
     }
   }
-  last_decision_.allocation = Allocation::of(p);
+  last_decision_.partition = p;
   last_decision_.action = action;
   last_decision_.detail = std::move(detail);
   return p;

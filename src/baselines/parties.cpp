@@ -55,7 +55,7 @@ const char* PartiesController::resource_name(Resource r) {
 Partition PartiesController::finish(const Partition& p,
                                     core::Action action,
                                     std::string detail) {
-  last_decision_.allocation = Allocation::of(p);
+  last_decision_.partition = p;
   last_decision_.action = action;
   last_decision_.detail = std::move(detail);
   return p;

@@ -28,7 +28,7 @@ class StaticPolicy : public core::Policy {
   Partition decide(const sim::ServerTelemetry& /*sample*/,
                    const Partition& /*current*/) override {
     begin_decision();
-    last_decision_.allocation = Allocation::of(partition_);
+    last_decision_.partition = partition_;
     last_decision_.action = core::Action::kStatic;
     return partition_;
   }

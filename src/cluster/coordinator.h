@@ -44,8 +44,7 @@ enum class Liveness {
 const char* to_string(Liveness liveness);
 
 /// Per-slice observation inside a NodeReport: how each co-scheduled
-/// workload fared last epoch. For today's pair nodes there are two
-/// entries (LS then BE); K-way nodes report one per workload.
+/// workload fared last epoch, one entry each (LS then BE).
 struct SliceReport {
   bool latency_sensitive = false;
   double slack = 0.0;            ///< LS only; 0 for BE slices
@@ -66,8 +65,8 @@ struct NodeReport {
   /// the node's cap_w/power_w predate the outage, so stateful
   /// strategies re-base instead of trusting them.
   bool rejoined = false;
-  /// Per-workload roll-up (LS then BE on pair nodes; one entry per
-  /// workload on K-way nodes). Empty until the node's first full epoch.
+  /// Per-workload roll-up (LS then BE). Empty until the node's first
+  /// full epoch.
   std::vector<SliceReport> slices;
 
   bool alive() const { return liveness == Liveness::kAlive; }

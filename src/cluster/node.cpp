@@ -338,13 +338,7 @@ void ClusterNode::step(int t) {
         decide_sample.be_throughput_norm /= inflation;
       }
     }
-    if (spec_.route_via_allocation) {
-      next = policy_->decide(decide_sample,
-                             Allocation::of(retry_.current()))
-                 .to_partition();
-    } else {
-      next = policy_->decide(decide_sample, retry_.current());
-    }
+    next = policy_->decide(decide_sample, retry_.current());
     action = policy_->last_decision().action_string();
     span.attr("action", action);
   }

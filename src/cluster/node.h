@@ -1,12 +1,13 @@
 // One node of the co-location fleet: the per-node runtime that
 // exp::run_colocation drives for a single machine, re-packaged as a
-// steppable object so a ClusterSim can advance N of them in lockstep.
+// steppable object so the fleet engine (fleet::FleetSim) can advance N
+// of them per epoch.
 // Each node owns its SimulatedServer, isolation stack (SimBackend +
 // ResourceEnforcer), policy, telemetry context, and metrics accumulator;
 // nothing is shared between nodes except immutable trained models, which
-// is what makes the lockstep step() calls safe to run in parallel.
+// is what makes the per-epoch step() calls safe to run in parallel.
 //
-// Power capping: the ClusterSim hands the node a cap each epoch
+// Power capping: the fleet engine hands the node a cap each epoch
 // (set_power_cap). The cap reaches the policy (Sturgeon retargets its
 // search budget) AND a node-local reactive governor -- the RAPL
 // analogue -- which steps frequencies down (BE slice first, LS last)
@@ -67,10 +68,6 @@ struct NodeSpec {
   /// and natural power budget.
   std::function<std::unique_ptr<core::Policy>(const sim::SimulatedServer&)>
       make_policy;
-  /// Route decisions through the K-way Allocation entry points instead of
-  /// the pair ones; bit-identical at K = 2 (pinned by the cluster twin
-  /// test in tests/kway).
-  bool route_via_allocation = false;
 };
 
 struct GovernorConfig {
@@ -143,14 +140,14 @@ struct NodeResult {
   /// Last epoch spent on the autonomous cap (-1 = never); chaos tests
   /// measure reconvergence-after-heal with it.
   int last_autonomy_epoch = -1;
-  /// The node's telemetry (child context; rolled up by the ClusterSim).
+  /// The node's telemetry (child context; rolled up by ClusterRollup).
   std::shared_ptr<telemetry::TelemetryContext> telemetry;
 };
 
 class ClusterNode {
  public:
   /// `seed` is the node's derived seed (derive_seed(cluster_seed, id)).
-  /// `telemetry` must be non-null (the ClusterSim makes one child
+  /// `telemetry` must be non-null (build_cluster makes one child
   /// context per node). `faults` should already be victim-filtered
   /// (FaultConfig::for_node); with faults.enabled == false no injector
   /// is constructed and the fault hooks cost one null check each.
@@ -201,7 +198,7 @@ class ClusterNode {
   /// fault-corrupted report().power_w the coordinator sees.
   double true_power_w() const { return true_power_w_; }
   /// Last epoch whose control loop completed (-1 before the first):
-  /// the heartbeat the ClusterSim feeds the HeartbeatTracker. Crashed
+  /// the heartbeat the fleet engine feeds the HeartbeatTracker. Crashed
   /// and hung epochs do not beat.
   int last_step_epoch() const { return last_step_epoch_; }
   bool in_safe_mode() const { return watchdog_.in_safe_mode(); }

@@ -1,16 +1,10 @@
-// Shared fleet construction and aggregation, used by both stepping
-// engines: the lockstep ClusterSim (cluster/cluster.h) and the
-// event-driven FleetSim (fleet/fleet.h).
-//
-// The twin-equivalence contract (tests/fleet/twin_test.cpp) says the
-// event-driven path with quiescence skipping disabled and zero churn
-// must produce a ClusterResult bit-identical to the lockstep path. The
-// only way to keep that promise cheap is to share the arithmetic: node
-// construction (placement, seeding, model warming, budget resolution)
-// lives in build_cluster(), and every per-epoch instrument plus the
-// end-of-run ClusterResult assembly lives in ClusterRollup. Both
-// engines call the same code in the same order; only the decision of
-// WHICH nodes step each epoch differs.
+// Fleet construction and aggregation for the fleet engine
+// (fleet/fleet.h). build_cluster() places, seeds and warms the nodes and
+// resolves the cluster budget; ClusterRollup owns every per-epoch
+// cluster instrument and the end-of-run ClusterResult assembly. Both
+// FleetSim paths -- lockstep (every node every epoch) and event-driven
+// (quiescent nodes skipped) -- feed the same rollup in the same order,
+// so they differ only in WHICH nodes step each epoch.
 #pragma once
 
 #include <memory>
@@ -19,18 +13,19 @@
 
 #include "cluster/cluster.h"
 #include "comms/fabric.h"
+#include "util/thread_pool.h"
 
 namespace sturgeon::cluster {
 
 /// Copy a run's comms accounting (channel totals, the grant identity,
-/// per-node lease counters) out of the fabric into the result; both
-/// stepping engines call it right after finalize.
+/// per-node lease counters) out of the fabric into the result; the fleet
+/// engine calls it right after finalize.
 void fill_comms_results(const comms::CommsFabric& fabric,
                         ClusterResult& result);
 
-/// Everything ClusterSim's constructor used to assemble inline: the
-/// placed, seeded fleet (models pre-warmed), the cluster telemetry
-/// context and the resolved cluster power budget.
+/// What build_cluster() assembles: the placed, seeded fleet (models
+/// pre-warmed), the cluster telemetry context and the resolved cluster
+/// power budget.
 struct ClusterBuild {
   std::shared_ptr<telemetry::TelemetryContext> telemetry;
   std::vector<std::unique_ptr<ClusterNode>> nodes;
@@ -65,9 +60,8 @@ class ClusterRollup {
 
   /// Assemble the ClusterResult: per-node results, fleet QoS/throughput
   /// roll-ups, recovery accounting, fleet.* counter roll-up, final
-  /// gauges and flushes. Exactly the epilogue ClusterSim::run used to
-  /// inline, so both engines produce identical results from identical
-  /// node states.
+  /// gauges and flushes. Both engine paths end here, so identical node
+  /// states give identical results.
   ClusterResult finalize(
       int epochs, const std::string& coordinator_name,
       const std::vector<std::unique_ptr<ClusterNode>>& nodes,

@@ -208,95 +208,4 @@ std::optional<Partition> ResourceBalancer::step(double slack, double qps_real,
   return best;
 }
 
-KwayArbiter::KwayArbiter(KwayArbiterConfig config) : config_(config) {
-  if (!(config_.alpha >= 0.0) || !(config_.beta > config_.alpha)) {
-    throw std::invalid_argument("KwayArbiter: need 0 <= alpha < beta");
-  }
-}
-
-std::optional<Allocation> KwayArbiter::step(const WorkloadSet& workloads,
-                                            const std::vector<double>& slacks,
-                                            const Allocation& current) {
-  last_action_.clear();
-  if (current.size() != workloads.size() ||
-      static_cast<int>(slacks.size()) != workloads.size()) {
-    throw std::invalid_argument(
-        "KwayArbiter: workloads/slacks/allocation sizes disagree");
-  }
-  const std::vector<int> ls = workloads.ls_indices();
-  const std::vector<int> be = workloads.be_indices();
-  if (ls.empty() || be.empty()) return std::nullopt;
-
-  // Most-starved LS slice (smallest slack strictly below alpha).
-  int starved = -1;
-  for (const int i : ls) {
-    const double s = slacks[static_cast<std::size_t>(i)];
-    if (s < config_.alpha &&
-        (starved < 0 || s < slacks[static_cast<std::size_t>(starved)])) {
-      starved = i;
-    }
-  }
-  if (starved >= 0) {
-    // Harvest from the lowest-priority BE slice that can spare a unit;
-    // cores first (the resource the queue model responds to fastest).
-    const auto donor = [&](auto has_spare) {
-      int pick = -1;
-      for (const int j : be) {
-        if (!has_spare(current[j])) continue;
-        if (pick < 0 || workloads[j].weight() < workloads[pick].weight()) {
-          pick = j;
-        }
-      }
-      return pick;
-    };
-    if (const int j = donor([](const AppSlice& s) { return s.cores > 1; });
-        j >= 0) {
-      Allocation next = current;
-      --next[j].cores;
-      ++next[starved].cores;
-      last_action_ = "cores";
-      return next;
-    }
-    if (const int j = donor([](const AppSlice& s) { return s.llc_ways > 1; });
-        j >= 0) {
-      Allocation next = current;
-      --next[j].llc_ways;
-      ++next[starved].llc_ways;
-      last_action_ = "ways";
-      return next;
-    }
-    return std::nullopt;  // every BE slice is already minimal
-  }
-
-  // Every LS slice comfortably above beta: the one with the most slack
-  // returns a unit to the highest-priority BE slice.
-  int fattest = -1;
-  for (const int i : ls) {
-    const double s = slacks[static_cast<std::size_t>(i)];
-    if (s <= config_.beta) return std::nullopt;  // someone is in the band
-    if (fattest < 0 || s > slacks[static_cast<std::size_t>(fattest)]) {
-      fattest = i;
-    }
-  }
-  int receiver = be.front();
-  for (const int j : be) {
-    if (workloads[j].weight() > workloads[receiver].weight()) receiver = j;
-  }
-  if (current[fattest].cores > 1) {
-    Allocation next = current;
-    --next[fattest].cores;
-    ++next[receiver].cores;
-    last_action_ = "return:cores";
-    return next;
-  }
-  if (current[fattest].llc_ways > 1) {
-    Allocation next = current;
-    --next[fattest].llc_ways;
-    ++next[receiver].llc_ways;
-    last_action_ = "return:ways";
-    return next;
-  }
-  return std::nullopt;  // the donor LS slice is already minimal
-}
-
 }  // namespace sturgeon::core

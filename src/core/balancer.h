@@ -20,7 +20,6 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/predictor.h"
 
@@ -100,49 +99,6 @@ class ResourceBalancer {
   telemetry::Tracer* tracer_ = nullptr;
   telemetry::Counter* harvests_counter_ = nullptr;
   telemetry::Counter* reverts_counter_ = nullptr;
-};
-
-struct KwayArbiterConfig {
-  double alpha = 0.10;  ///< an LS slice below this slack is starved
-  double beta = 0.20;   ///< every LS slice above this => return resources
-};
-
-/// K-way analogue of the balancer's fine-tuning loop, model-free by
-/// design: between KwaySearch epochs it arbitrates single resource units
-/// using measured slacks only, so it works even when the predictors are
-/// wrong (the situation that makes fine-tuning necessary at all).
-///
-/// One step moves at most one unit:
-///   - the most-starved LS slice (smallest slack below alpha; index
-///     breaks ties) harvests 1 core from the lowest-priority BE slice
-///     that still has one to spare, falling back to 1 cache way;
-///   - when EVERY LS slice sits above beta, the one with the most slack
-///     returns 1 core (else 1 way) to the highest-priority BE slice;
-///   - anything else (all LS inside the band, or nothing movable) is
-///     nullopt.
-/// All scans run in fixed index order -- deterministic, like everything
-/// in the control plane. At K = 2 the harvest direction matches the
-/// ResourceBalancer's cores-from-BE move at unit granularity.
-class KwayArbiter {
- public:
-  explicit KwayArbiter(KwayArbiterConfig config = {});
-
-  /// One arbitration at measured `slacks` (aligned with `workloads`;
-  /// entries at BE indices are ignored). Returns the allocation to apply
-  /// next, or nullopt when there is nothing to do.
-  std::optional<Allocation> step(const WorkloadSet& workloads,
-                                 const std::vector<double>& slacks,
-                                 const Allocation& current);
-
-  /// What the last step did ("cores", "ways", "return:cores",
-  /// "return:ways" or ""); exposed for tracing and tests.
-  const std::string& last_action() const { return last_action_; }
-
-  const KwayArbiterConfig& config() const { return config_; }
-
- private:
-  KwayArbiterConfig config_;
-  std::string last_action_;
 };
 
 }  // namespace sturgeon::core

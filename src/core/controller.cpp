@@ -146,7 +146,7 @@ Partition SturgeonController::finish_decision(const Partition& p,
                                               std::string detail,
                                               double predicted_throughput,
                                               double predicted_power_w) {
-  last_decision_.allocation = Allocation::of(p);
+  last_decision_.partition = p;
   last_decision_.action = action;
   last_decision_.detail = std::move(detail);
   last_decision_.predicted_throughput = predicted_throughput;

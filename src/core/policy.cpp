@@ -25,11 +25,6 @@ const char* to_string(Action action) {
   return "unknown";
 }
 
-Partition PolicyDecision::partition() const {
-  if (allocation.size() == 0) return Partition{};
-  return allocation.to_partition();
-}
-
 std::string PolicyDecision::action_string() const {
   std::string out = to_string(action);
   if (!detail.empty()) {

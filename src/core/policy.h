@@ -13,9 +13,10 @@
 //     has a context (a private no-op sink from birth), so instrument
 //     updates never need a null check.
 //
-// Decisions carry a K-way Allocation; the pair-era decide(Partition)
-// entry point remains the required override (every shipped policy is a
-// pair controller), and the Allocation overload adapts exactly at K = 2.
+// Decisions are Partitions: decide(Partition) is the required override
+// (every policy co-locates one LS service with one BE application). The
+// decide(Allocation) overload adapts exactly at K = 2 and throws for any
+// other slice count.
 #pragma once
 
 #include <cstdint>
@@ -56,16 +57,13 @@ const char* to_string(Action action);
 /// What the last decide() call chose, uniformly across policies.
 struct PolicyDecision {
   std::uint64_t epoch = 0;  ///< 1-based decide() counter since reset()
-  Allocation allocation;    ///< the returned allocation (K slices)
+  Partition partition;      ///< the returned partition (empty before any)
   Action action = Action::kNone;
   std::string detail;  ///< optional refinement, e.g. "cores", "freq"
   double slack = 0.0;  ///< measured slack this decision saw (0 if unused)
   /// Model expectations backing the decision; 0 for model-free policies.
   double predicted_throughput = 0.0;
   double predicted_power_w = 0.0;
-
-  /// K = 2 view of the allocation (empty Partition before any decision).
-  Partition partition() const;
 
   /// Historical wire format for exporters: "hold", "balance:cores",
   /// "power_cap:freq", ... -- to_string(action) plus ":detail" when set.
@@ -92,10 +90,9 @@ class Policy {
   virtual Partition decide(const sim::ServerTelemetry& sample,
                            const Partition& current) = 0;
 
-  /// K-way entry point. The default adapter handles exactly K = 2 by
-  /// delegating to the pair decide() above (bit-identical round trip);
-  /// it throws std::invalid_argument for any other K. Policies with a
-  /// native K-way control loop override this.
+  /// Slice-list entry point: handles exactly K = 2 by delegating to the
+  /// pair decide() above (bit-identical round trip) and throws
+  /// std::invalid_argument for any other K. Decorators forward it.
   virtual Allocation decide(const sim::ServerTelemetry& sample,
                             const Allocation& current);
 

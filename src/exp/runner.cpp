@@ -104,23 +104,14 @@ RunResult run_colocation(const LsProfile& ls, const BeProfile& be,
       Partition next;
       {
         telemetry::Span span = tracer.start_span("decide");
-        if (config.route_via_allocation) {
-          next = policy.decide(sample, enforcer.current_allocation())
-                     .to_partition();
-        } else {
-          next = policy.decide(sample, enforcer.current());
-        }
+        next = policy.decide(sample, enforcer.current());
         span.attr("action", policy.last_decision().action_string());
       }
 
       const bool changed = !(next == enforcer.current());
       if (changed) {
         telemetry::Span span = tracer.start_span("enforce");
-        if (config.route_via_allocation) {
-          enforcer.apply(Allocation::of(next));
-        } else {
-          enforcer.apply(next);
-        }
+        enforcer.apply(next);
         changes_counter.inc();
         span.attr("partition", next.to_string(server.machine()));
       }

@@ -39,11 +39,6 @@ struct RunConfig {
   /// !supports_power_cap() the cap is NOT silently dropped: the run's
   /// "policy.cap.unsupported" counter records it.
   double power_cap_w = 0.0;
-  /// Route decisions and enforcement through the K-way Allocation API
-  /// (Policy::decide(Allocation) + ResourceEnforcer::apply(Allocation))
-  /// instead of the pair entry points. Same-seed results are bit-identical
-  /// either way at K = 2 -- the twin test in tests/kway pins this.
-  bool route_via_allocation = false;
 };
 
 struct RunResult {

@@ -1,7 +1,7 @@
 // Fleet events: the currency of the event-driven stepping engine.
 //
-// The lockstep ClusterSim touches every node every epoch; the fleet
-// engine instead advances a priority queue of events keyed by
+// The lockstep path touches every node every epoch; the event path
+// instead advances a priority queue of events keyed by
 // (time, node, seq). A node with nothing happening -- stable load
 // trace, slack in band, no pending faults, no churn -- schedules its
 // next wake and is skipped until that epoch arrives or some event

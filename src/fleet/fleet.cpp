@@ -43,7 +43,7 @@ FleetSim::FleetSim(std::vector<cluster::NodeSpec> specs, FleetConfig config)
     ctl_[i].never_sleep = nodes_[i]->has_fault_injector();
     // Under churn the job population IS the best-effort work: nodes
     // start LS-only and activate their BE slice when the first job
-    // lands. Without churn the static pair stays active (twin mode).
+    // lands. Without churn the static pair stays active.
     if (config_.churn.enabled) nodes_[i]->set_be_active(false);
   }
 }
@@ -82,11 +82,10 @@ double FleetSim::be_rate(const NodeReport& report) {
 }
 
 // ---------------------------------------------------------------------
-// Lockstep-equivalent path: every node steps every epoch, the full
-// coordinator splits the budget each epoch. With churn disabled this is
-// arithmetic-for-arithmetic the ClusterSim::run loop (the twin test
-// pins bit-identity); with churn enabled the job hooks slot in between
-// the shared phases.
+// Lockstep path: every node steps every epoch, the full coordinator
+// splits the budget each epoch. With churn disabled its results are
+// pinned to golden digests (tests/fleet/twin_test.cpp); with churn
+// enabled the job hooks slot in between the phases.
 // ---------------------------------------------------------------------
 
 FleetResult FleetSim::run_lockstep(int epochs) {
@@ -107,9 +106,14 @@ FleetResult FleetSim::run_lockstep(int epochs) {
       }
     }
 
-    // Comms mode mirrors ClusterSim::run exactly: the coordinator sees
-    // what the wire delivered, and each node obeys its lease (or the
-    // autonomous fallback), never the coordinator's wish directly.
+    // 1. Budget split (sequential, deterministic in node order). The
+    // heartbeat tracker stamps liveness first: a node that stopped
+    // stepping is declared dead after dead_after_epochs of silence and
+    // its cap collapses to the idle floor inside the coordinator. In
+    // comms mode the coordinator sees what the wire delivered (stale
+    // reports freeze, lost reports look like death), and each node obeys
+    // its lease (or the autonomous fallback), never the coordinator's
+    // wish directly; the budget check runs over those true caps.
     int dead = 0;
     if (fabric_) {
       fabric_->collect(t);
@@ -142,8 +146,13 @@ FleetResult FleetSim::run_lockstep(int epochs) {
       for (std::size_t i = 0; i < n; ++i) nodes_[i]->set_power_cap(caps[i]);
     }
 
+    // 2. Every node advances one epoch, in parallel. Nodes share no
+    // mutable state, so the schedule cannot change results.
     pool_.parallel_for(n, [&](std::size_t i) { nodes_[i]->step(t); });
 
+    // 3. Fleet aggregation (sequential again), over ground-truth power:
+    // a sensor fault may lie to the coordinator, but the budget verdict
+    // is about watts actually drawn.
     double fleet_power = 0.0;
     for (const auto& node : nodes_) fleet_power += node->true_power_w();
     rollup.note_power(fleet_power);
@@ -320,7 +329,7 @@ FleetResult FleetSim::run_events(int epochs) {
         // Zero-fault channel: eff == caps_, so apply exactly where the
         // direct path applies (every node on a rebalance epoch, awake
         // nodes otherwise) and keep the delta pool as the invariant
-        // sum -- the twin stays bit-identical.
+        // sum -- bit-identical to the direct path.
         if (rebalance_due) {
           for (std::size_t i = 0; i < n; ++i) {
             nodes_[i]->set_power_cap(eff[i]);
@@ -482,7 +491,7 @@ void FleetSim::churn_post_step(std::size_t i, int t) {
   churn_.migrate(id, to, t);
   nodes_[static_cast<std::size_t>(to)]->set_be_active(true);
   if (churn_.active_on(node).empty()) nodes_[i]->set_be_active(false);
-  if (ctl_[static_cast<std::size_t>(to)].sleeping && t + 1 >= 0) {
+  if (ctl_[static_cast<std::size_t>(to)].sleeping) {
     // Post-step phase: the target steps again no earlier than t+1.
     queue_.push(EventKind::kWake, t + 1, to);
   }

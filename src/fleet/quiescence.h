@@ -24,8 +24,8 @@
 namespace sturgeon::fleet {
 
 struct QuiescenceConfig {
-  /// Master switch: false = lockstep-equivalent (every node steps every
-  /// epoch; the twin-equivalence tests run in this mode).
+  /// Master switch: false = the lockstep path (every node steps every
+  /// epoch; the golden-digest tests run in this mode).
   bool enabled = false;
   /// Trace band: a node sleeps only while |load(t') - load(t)| stays
   /// below this; the first epoch outside the band is a scheduled wake.

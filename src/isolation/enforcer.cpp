@@ -34,15 +34,6 @@ std::vector<int> ResourceEnforcer::be_core_list(int count) const {
   return cores;
 }
 
-void ResourceEnforcer::apply(const Allocation& target) {
-  if (target.size() != 2) {
-    throw std::invalid_argument(
-        "ResourceEnforcer::apply: two-app isolation backend cannot express "
-        "K = " + std::to_string(target.size()));
-  }
-  apply(target.to_partition());
-}
-
 void ResourceEnforcer::apply(const Partition& target) {
   const bool be_empty = target.be.cores == 0;
   if (!be_empty && !target.valid_for(machine_)) {

@@ -25,18 +25,9 @@ class ResourceEnforcer {
   /// express (an empty BE slice is allowed).
   void apply(const Partition& target);
 
-  /// K-way entry point. The isolation hardware model (AppId, cpuset/CAT
-  /// masks) is two-app, so exactly K = 2 is expressible today: delegates
-  /// to apply(Partition) bit-identically, throws std::invalid_argument
-  /// for any other K.
-  void apply(const Allocation& target);
-
   /// The partition most recently applied (or reconstructed by resync()
   /// after a failed apply).
   const Partition& current() const { return current_; }
-
-  /// current() as a K = 2 Allocation (the K-way decide loop's view).
-  Allocation current_allocation() const { return Allocation::of(current_); }
 
   /// Verify-after-apply: read the tool state back through the actuator
   /// interfaces and compare against what apply(target) programs. False

@@ -29,12 +29,6 @@ class SimBackend {
   /// The partition currently derived from the staged tool state.
   Partition derived_partition() const;
 
-  /// derived_partition() as a K = 2 Allocation (K-way callers' view; the
-  /// staged tool state itself is two-app).
-  Allocation derived_allocation() const {
-    return Allocation::of(derived_partition());
-  }
-
  private:
   struct State {
     std::array<std::vector<int>, 2> cpusets;

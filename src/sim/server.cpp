@@ -22,15 +22,6 @@ SimulatedServer::SimulatedServer(const LsProfile& ls, const BeProfile& be,
       interference_(config.interference, derive_seed(seed, 1)),
       noise_rng_(derive_seed(seed, 2)) {}
 
-void SimulatedServer::set_allocation(const Allocation& a) {
-  if (a.size() != 2) {
-    throw std::invalid_argument(
-        "set_allocation: pair simulator cannot express K = " +
-        std::to_string(a.size()));
-  }
-  set_partition(a.to_partition());
-}
-
 void SimulatedServer::set_partition(const Partition& p) {
   const bool be_empty = p.be.cores == 0;
   if (be_empty) {
@@ -176,7 +167,7 @@ ServerTelemetry SimulatedServer::step(double load_fraction) {
   STURGEON_DCHECK(std::isfinite(t.bw_gbps) && t.bw_gbps >= 0.0,
                   "step: bandwidth = " << t.bw_gbps);
 
-  // Per-workload breakdown (LS then BE), the K-way view of the sample.
+  // Per-workload breakdown (LS then BE).
   SliceTelemetry ls_view;
   ls_view.kind = WorkloadKind::kLatencySensitive;
   ls_view.slice = partition_.ls;

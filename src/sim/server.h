@@ -23,9 +23,8 @@
 namespace sturgeon::sim {
 
 /// Per-slice view of one telemetry sample: how each co-scheduled
-/// workload fared this interval, in WorkloadSet order. Pair servers emit
-/// two entries (LS then BE); the fields not applicable to a slice's kind
-/// stay zero.
+/// workload fared this interval, LS then BE; the fields not applicable
+/// to a slice's kind stay zero.
 struct SliceTelemetry {
   WorkloadKind kind = WorkloadKind::kBestEffort;
   AppSlice slice;              ///< resources the workload held
@@ -56,8 +55,8 @@ struct ServerTelemetry {
   double interference_factor = 1.0;  ///< hidden disturbance (ground truth;
                                      ///< controllers must not read this)
 
-  /// Per-workload breakdown in WorkloadSet order (LS then BE for pair
-  /// servers); the scalar fields above are the K = 2 roll-up.
+  /// Per-workload breakdown, LS then BE; the scalar fields above are
+  /// their roll-up.
   std::vector<SliceTelemetry> slices;
 
   bool qos_met() const { return ls.p95_ms <= qos_target_ms; }
@@ -83,11 +82,6 @@ class SimulatedServer {
   /// initial all-to-LS allocation.
   void set_partition(const Partition& p);
   const Partition& partition() const { return partition_; }
-
-  /// K-way adapters over the pair simulator (exactly K = 2; throws
-  /// otherwise -- the physical model simulates one LS + one BE).
-  void set_allocation(const Allocation& a);
-  Allocation allocation() const { return Allocation::of(partition_); }
 
   /// Advance one second at `load_fraction` of the LS peak load.
   ServerTelemetry step(double load_fraction);

@@ -1,7 +1,6 @@
 #include "util/invariants.h"
 
 #include <cmath>
-#include <string>
 
 #include "util/check.h"
 
@@ -38,31 +37,6 @@ void ValidateConfig(const MachineSpec& m, const Partition& p,
                     << " exceeds " << m.num_cores);
   STURGEON_CHECK(p.ls.llc_ways + p.be.llc_ways <= m.llc_ways,
                  "" << where << ": way total " << p.ls.llc_ways + p.be.llc_ways
-                    << " exceeds " << m.llc_ways);
-}
-
-void ValidateConfig(const MachineSpec& m, const Allocation& a,
-                    const char* where, bool allow_empty) {
-  STURGEON_CHECK(a.size() >= 1, "" << where << ": empty allocation");
-  for (int i = 0; i < a.size(); ++i) {
-    const AppSlice& s = a[i];
-    if (s.empty() && i > 0) {
-      STURGEON_CHECK(allow_empty,
-                     "" << where << ": empty slice " << i
-                        << " not allowed here");
-      STURGEON_CHECK(s.llc_ways == 0 && s.freq_level == 0,
-                     "" << where << ": slice " << i
-                        << " has no cores but holds ways or a P-state");
-      continue;
-    }
-    const std::string side = "slice " + std::to_string(i);
-    validate_slice(m, s, where, side.c_str());
-  }
-  STURGEON_CHECK(a.total_cores() <= m.num_cores,
-                 "" << where << ": core total " << a.total_cores()
-                    << " exceeds " << m.num_cores);
-  STURGEON_CHECK(a.total_ways() <= m.llc_ways,
-                 "" << where << ": way total " << a.total_ways()
                     << " exceeds " << m.llc_ways);
 }
 

@@ -19,13 +19,6 @@ namespace sturgeon {
 void ValidateConfig(const MachineSpec& m, const Partition& p,
                     const char* where, bool allow_empty_be = true);
 
-/// K-way analogue: CHECK that `a` is expressible on `m`. With
-/// `allow_empty` (the default) fully-empty slices are accepted -- they
-/// model workloads that are currently unscheduled (the all-to-first
-/// fallback) -- but slice 0 must always be well-formed.
-void ValidateConfig(const MachineSpec& m, const Allocation& a,
-                    const char* where, bool allow_empty = true);
-
 /// CHECK that a power budget is finite and strictly positive.
 void ValidatePowerBudget(double budget_w, const char* where);
 

@@ -48,129 +48,6 @@ std::uint64_t MachineSpec::config_space_size() const {
          static_cast<std::uint64_t>(num_freq_levels());
 }
 
-const char* to_string(WorkloadKind kind) {
-  switch (kind) {
-    case WorkloadKind::kLatencySensitive: return "ls";
-    case WorkloadKind::kBestEffort: return "be";
-  }
-  return "unknown";
-}
-
-Workload Workload::latency_sensitive(std::string name, double qos_target_ms) {
-  Workload w;
-  w.kind = WorkloadKind::kLatencySensitive;
-  w.name = std::move(name);
-  w.qos_target_ms = qos_target_ms;
-  return w;
-}
-
-Workload Workload::best_effort(std::string name, int priority) {
-  Workload w;
-  w.kind = WorkloadKind::kBestEffort;
-  w.name = std::move(name);
-  w.priority = priority;
-  return w;
-}
-
-std::vector<int> WorkloadSet::ls_indices() const {
-  std::vector<int> out;
-  for (int i = 0; i < size(); ++i) {
-    if ((*this)[i].is_ls()) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<int> WorkloadSet::be_indices() const {
-  std::vector<int> out;
-  for (int i = 0; i < size(); ++i) {
-    if ((*this)[i].is_be()) out.push_back(i);
-  }
-  return out;
-}
-
-bool WorkloadSet::is_pair() const {
-  return size() == 2 && (*this)[0].is_ls() && (*this)[1].is_be();
-}
-
-void WorkloadSet::validate() const {
-  if (items.empty()) {
-    throw std::invalid_argument("WorkloadSet: empty workload set");
-  }
-  for (int i = 0; i < size(); ++i) {
-    const Workload& w = (*this)[i];
-    if (w.is_ls() &&
-        !(std::isfinite(w.qos_target_ms) && w.qos_target_ms > 0.0)) {
-      throw std::invalid_argument(
-          "WorkloadSet: LS workload '" + w.name + "' (index " +
-          std::to_string(i) + ") needs a positive QoS target");
-    }
-    if (w.is_be() && w.priority < 0) {
-      throw std::invalid_argument(
-          "WorkloadSet: BE workload '" + w.name + "' (index " +
-          std::to_string(i) + ") has negative priority");
-    }
-  }
-}
-
-WorkloadSet WorkloadSet::pair(double qos_target_ms) {
-  WorkloadSet set;
-  set.items.push_back(Workload::latency_sensitive("ls", qos_target_ms));
-  set.items.push_back(Workload::best_effort("be", 0));
-  return set;
-}
-
-int Allocation::total_cores() const {
-  int total = 0;
-  for (const AppSlice& s : slices) total += s.cores;
-  return total;
-}
-
-int Allocation::total_ways() const {
-  int total = 0;
-  for (const AppSlice& s : slices) total += s.llc_ways;
-  return total;
-}
-
-bool Allocation::valid_for(const MachineSpec& m) const {
-  return valid_for(m, /*allow_empty=*/false);
-}
-
-bool Allocation::valid_for(const MachineSpec& m, bool allow_empty) const {
-  if (slices.empty()) return false;
-  if (slices.front().empty()) return false;
-  for (const AppSlice& s : slices) {
-    if (allow_empty && s.empty()) {
-      // An unscheduled slice must be wholly empty, not a partial grant.
-      if (s.llc_ways != 0 || s.freq_level != 0) return false;
-      continue;
-    }
-    if (s.cores < 1 || s.llc_ways < 1) return false;
-    if (s.freq_level < 0 || s.freq_level >= m.num_freq_levels()) return false;
-  }
-  return total_cores() <= m.num_cores && total_ways() <= m.llc_ways;
-}
-
-std::string Allocation::to_string(const MachineSpec& m) const {
-  std::string out = "<";
-  char buf[48];
-  for (int i = 0; i < size(); ++i) {
-    const AppSlice& s = (*this)[i];
-    std::snprintf(buf, sizeof(buf), "%s%dC, %.1fF, %dL", i > 0 ? "; " : "",
-                  s.cores, m.freq_at(s.freq_level), s.llc_ways);
-    out += buf;
-  }
-  out += ">";
-  return out;
-}
-
-AppSlice Allocation::remainder(const MachineSpec& m, int freq_level) const {
-  AppSlice rest;
-  rest.cores = std::max(0, m.num_cores - total_cores());
-  rest.llc_ways = std::max(0, m.llc_ways - total_ways());
-  rest.freq_level = std::clamp(freq_level, 0, m.max_freq_level());
-  return rest;
-}
-
 AppSlice Allocation::complement(const MachineSpec& m, const AppSlice& held,
                                 int freq_level) {
   AppSlice rest;
@@ -178,14 +55,6 @@ AppSlice Allocation::complement(const MachineSpec& m, const AppSlice& held,
   rest.llc_ways = std::max(0, m.llc_ways - held.llc_ways);
   rest.freq_level = std::clamp(freq_level, 0, m.max_freq_level());
   return rest;
-}
-
-Allocation Allocation::all_to_first(const MachineSpec& m, int k) {
-  if (k < 1) throw std::invalid_argument("Allocation::all_to_first: k < 1");
-  Allocation a;
-  a.slices.assign(static_cast<std::size_t>(k), AppSlice{0, 0, 0});
-  a.slices.front() = AppSlice{m.num_cores, m.max_freq_level(), m.llc_ways};
-  return a;
 }
 
 Allocation Allocation::of(const Partition& p) {

@@ -1,9 +1,7 @@
-// End-to-end ClusterSim tests on fake-model policies (no training), plus
-// the determinism contract the cluster layer promises: one cluster seed
-// fixes every node's streams, so results are bit-identical across
-// lockstep thread counts.
-#include "cluster/cluster.h"
-
+// End-to-end fleet tests on fake-model policies (no training), run on
+// the fleet engine's lockstep path, plus the determinism contract the
+// cluster layer promises: one cluster seed fixes every node's streams,
+// so results are bit-identical across worker thread counts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,6 +13,7 @@
 #include "../core/fake_models.h"
 #include "cluster/export.h"
 #include "core/controller.h"
+#include "fleet/fleet.h"
 #include "workloads/app_profile.h"
 
 namespace sturgeon::cluster {
@@ -36,6 +35,13 @@ NodeSpec fake_spec(const LoadTrace& trace) {
   return spec;
 }
 
+/// The fleet engine's lockstep path: quiescence and churn off.
+fleet::FleetConfig lockstep(ClusterConfig config) {
+  fleet::FleetConfig fc;
+  fc.cluster = std::move(config);
+  return fc;
+}
+
 std::vector<NodeSpec> fake_fleet(int n, int duration_s) {
   std::vector<NodeSpec> specs;
   for (int i = 0; i < n; ++i) {
@@ -46,18 +52,21 @@ std::vector<NodeSpec> fake_fleet(int n, int duration_s) {
 }
 
 TEST(ClusterSim, RejectsBadConstruction) {
-  EXPECT_THROW(ClusterSim(std::vector<NodeSpec>{}), std::invalid_argument);
+  EXPECT_THROW(fleet::FleetSim(std::vector<NodeSpec>{}),
+               std::invalid_argument);
   ClusterConfig config;
   config.oversubscription = 0.0;
-  EXPECT_THROW(ClusterSim(fake_fleet(1, 5), config), std::invalid_argument);
+  EXPECT_THROW(fleet::FleetSim(fake_fleet(1, 5), lockstep(config)),
+               std::invalid_argument);
   config.oversubscription = 1.5;
-  EXPECT_THROW(ClusterSim(fake_fleet(1, 5), config), std::invalid_argument);
+  EXPECT_THROW(fleet::FleetSim(fake_fleet(1, 5), lockstep(config)),
+               std::invalid_argument);
 }
 
 TEST(ClusterSim, RunIsOneShot) {
   ClusterConfig config;
   config.seed = 3;
-  ClusterSim sim(fake_fleet(1, 5), config);
+  fleet::FleetSim sim(fake_fleet(1, 5), lockstep(config));
   EXPECT_FALSE(sim.has_run());
   (void)sim.run();
   EXPECT_TRUE(sim.has_run());
@@ -71,15 +80,15 @@ TEST(ClusterSim, RunIsOneShot) {
 TEST(ClusterSim, DefaultResilienceIsBitCompatible) {
   ClusterConfig plain;
   plain.seed = 17;
-  ClusterSim a(fake_fleet(3, 10), plain);
-  const ClusterResult ra = a.run();
+  fleet::FleetSim a(fake_fleet(3, 10), lockstep(plain));
+  const ClusterResult ra = a.run().cluster;
 
   ClusterConfig spelled_out;
   spelled_out.seed = 17;
   spelled_out.resilience = ResilienceConfig{};
   spelled_out.faults = fault::FaultConfig{};
-  ClusterSim b(fake_fleet(3, 10), spelled_out);
-  const ClusterResult rb = b.run();
+  fleet::FleetSim b(fake_fleet(3, 10), lockstep(spelled_out));
+  const ClusterResult rb = b.run().cluster;
 
   EXPECT_EQ(ra.fleet_qos_guarantee_rate, rb.fleet_qos_guarantee_rate);
   EXPECT_EQ(ra.aggregate_be_throughput, rb.aggregate_be_throughput);
@@ -108,8 +117,8 @@ TEST(ClusterSim, DeterministicAcrossThreadCounts) {
     ClusterConfig config;
     config.seed = 5;
     config.threads = threads;
-    ClusterSim sim(fake_fleet(kNodes, kEpochs), config);
-    return sim.run();
+    fleet::FleetSim sim(fake_fleet(kNodes, kEpochs), lockstep(config));
+    return sim.run().cluster;
   };
   const ClusterResult a = run_with(1);
   const ClusterResult b = run_with(4);
@@ -138,8 +147,8 @@ TEST(ClusterSim, DifferentSeedsProduceDifferentRuns) {
   auto run_with = [&](std::uint64_t seed) {
     ClusterConfig config;
     config.seed = seed;
-    ClusterSim sim(fake_fleet(2, 20), config);
-    return sim.run();
+    fleet::FleetSim sim(fake_fleet(2, 20), lockstep(config));
+    return sim.run().cluster;
   };
   const ClusterResult a = run_with(1);
   const ClusterResult b = run_with(2);
@@ -155,8 +164,8 @@ TEST(ClusterSim, MismatchedTraceLengthsClampAndRunFullLockstep) {
   specs.push_back(fake_spec(LoadTrace::constant(0.5, 30)));
   ClusterConfig config;
   config.seed = 7;
-  ClusterSim sim(std::move(specs), config);
-  const ClusterResult result = sim.run();
+  fleet::FleetSim sim(std::move(specs), lockstep(config));
+  const ClusterResult result = sim.run().cluster;
   EXPECT_EQ(result.epochs, 30);
   for (const auto& nr : result.node_results) {
     EXPECT_EQ(nr.epochs, 30) << "node " << nr.node;
@@ -167,8 +176,8 @@ TEST(ClusterSim, MismatchedTraceLengthsClampAndRunFullLockstep) {
 TEST(ClusterSim, ExplicitEpochCountOverridesTraces) {
   ClusterConfig config;
   config.seed = 7;
-  ClusterSim sim(fake_fleet(1, 50), config);
-  const ClusterResult result = sim.run(8);
+  fleet::FleetSim sim(fake_fleet(1, 50), lockstep(config));
+  const ClusterResult result = sim.run(8).cluster;
   EXPECT_EQ(result.epochs, 8);
   EXPECT_EQ(result.node_results[0].epochs, 8);
 }
@@ -192,7 +201,7 @@ TEST(ClusterSim, GovernorEnforcesTightCapOnStaticPolicy) {
   // cluster budget at 40% of the dynamic range above idle.
   ClusterConfig probe_config;
   probe_config.seed = 11;
-  ClusterSim probe(static_specs(), probe_config);
+  fleet::FleetSim probe(static_specs(), lockstep(probe_config));
   const double natural = probe.node(0).budget_w();
   const double idle = probe.node(0).idle_w();
   ASSERT_GT(natural, idle);
@@ -201,13 +210,13 @@ TEST(ClusterSim, GovernorEnforcesTightCapOnStaticPolicy) {
   ClusterConfig governed;
   governed.seed = 11;
   governed.power_budget_w = tight;
-  ClusterSim governed_sim(static_specs(), governed);
-  const ClusterResult with_governor = governed_sim.run();
+  fleet::FleetSim governed_sim(static_specs(), lockstep(governed));
+  const ClusterResult with_governor = governed_sim.run().cluster;
 
   ClusterConfig ungoverned = governed;
   ungoverned.governor.enabled = false;
-  ClusterSim ungoverned_sim(static_specs(), ungoverned);
-  const ClusterResult without_governor = ungoverned_sim.run();
+  fleet::FleetSim ungoverned_sim(static_specs(), lockstep(ungoverned));
+  const ClusterResult without_governor = ungoverned_sim.run().cluster;
 
   // The static partition wants far more than the cap: the governor must
   // have throttled, and the ungoverned run must overshoot more.
@@ -222,8 +231,8 @@ TEST(ClusterSim, FleetCountersRollUpIntoClusterRegistry) {
   const int kNodes = 2, kEpochs = 12;
   ClusterConfig config;
   config.seed = 13;
-  ClusterSim sim(fake_fleet(kNodes, kEpochs), config);
-  const ClusterResult result = sim.run();
+  fleet::FleetSim sim(fake_fleet(kNodes, kEpochs), lockstep(config));
+  const ClusterResult result = sim.run().cluster;
   ASSERT_NE(result.telemetry, nullptr);
 
   const auto snap = result.telemetry->metrics().snapshot();
@@ -245,8 +254,8 @@ TEST(ClusterSim, JsonlRollupHasOneLinePerNodePlusCluster) {
   const int kNodes = 2;
   ClusterConfig config;
   config.seed = 17;
-  ClusterSim sim(fake_fleet(kNodes, 10), config);
-  const ClusterResult result = sim.run();
+  fleet::FleetSim sim(fake_fleet(kNodes, 10), lockstep(config));
+  const ClusterResult result = sim.run().cluster;
 
   std::ostringstream os;
   write_cluster_jsonl(result, os);
@@ -275,9 +284,9 @@ TEST(ClusterSim, SumOfCapsNeverExceedsBudgetDuringRun) {
   ClusterConfig config;
   config.seed = 19;
   config.coordinator = CoordinatorKind::kSlackHarvest;
-  ClusterSim sim(fake_fleet(3, 25), config);
+  fleet::FleetSim sim(fake_fleet(3, 25), lockstep(config));
   const double budget = sim.cluster_budget_w();
-  const ClusterResult result = sim.run();
+  const ClusterResult result = sim.run().cluster;
   double mean_cap_sum = 0.0;
   for (const auto& nr : result.node_results) mean_cap_sum += nr.mean_cap_w;
   EXPECT_LE(mean_cap_sum, budget + 1e-6);

@@ -2,8 +2,8 @@
 // nodes talk ONLY through the MessageChannel.
 //
 //  - Zero-fault channel: bit-identical to the direct-call paths, for
-//    every coordinator strategy, in both engines (lockstep ClusterSim
-//    and the event-driven FleetSim).
+//    every coordinator strategy, on both FleetSim paths (lockstep and
+//    event-driven).
 //  - Chaos-net: 20% drop + reorder + a 50-epoch full coordinator
 //    partition. The run must complete (the per-epoch STURGEON_CHECK on
 //    the TRUE cap sum is live the whole time), keep fleet QoS within 5
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "../core/fake_models.h"
-#include "cluster/cluster.h"
 #include "core/controller.h"
 #include "fleet/fleet.h"
 #include "workloads/app_profile.h"
@@ -39,6 +38,13 @@ NodeSpec fake_spec(const LoadTrace& trace) {
         server.power_budget_w());
   };
   return spec;
+}
+
+/// The fleet engine's lockstep path: quiescence and churn off.
+fleet::FleetConfig lockstep(ClusterConfig config) {
+  fleet::FleetConfig fc;
+  fc.cluster = std::move(config);
+  return fc;
 }
 
 std::vector<NodeSpec> fake_fleet(int n, int duration_s) {
@@ -74,8 +80,8 @@ ClusterResult run_cluster(CoordinatorKind kind, const comms::CommsConfig& comms,
   config.threads = threads;
   config.coordinator = kind;
   config.comms = comms;
-  ClusterSim sim(fake_fleet(nodes, epochs), config);
-  return sim.run();
+  fleet::FleetSim sim(fake_fleet(nodes, epochs), lockstep(config));
+  return sim.run().cluster;
 }
 
 void expect_behavior_identical(const ClusterResult& a, const ClusterResult& b) {

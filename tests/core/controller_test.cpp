@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include "fake_models.h"
 #include "telemetry/context.h"
@@ -183,6 +186,44 @@ TEST(Controller, InstrumentsFollowTelemetryAttach) {
   EXPECT_EQ(metrics.gauge("controller.reserves.ways").value(), r.ways);
   EXPECT_EQ(metrics.gauge("controller.reserves.freq").value(), r.freq);
   EXPECT_GT(r.cores + r.ways + r.freq, 0);
+}
+
+// Policy::decide(Allocation) is the overload a decorator overrides to
+// forward; at K = 2 it must be the pair decide() bit for bit.
+TEST(Policy, AllocationOverloadAdaptsExactlyAtKTwo) {
+  auto pair = make_controller();
+  auto sliced = make_controller();
+  Partition p = Partition::all_to_ls(m);
+  Partition q = p;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  // Search on high slack, hold in band, balancer on violation, and a
+  // load shift that forces fresh searches.
+  const double trace[][2] = {{2.0, 8000.0},  {8.5, 8000.0}, {12.0, 8000.0},
+                             {12.0, 8000.0}, {3.0, 6000.0}, {8.5, 6000.0},
+                             {11.0, 9000.0}, {2.5, 9000.0}};
+  for (const auto& [p95, qps] : trace) {
+    p = pair.decide(sample(p95, qps), p);
+    q = sliced.decide(sample(p95, qps), Allocation::of(q)).to_partition();
+    ASSERT_EQ(p, q);
+    const PolicyDecision& a = pair.last_decision();
+    const PolicyDecision& b = sliced.last_decision();
+    EXPECT_EQ(a.epoch, b.epoch);
+    EXPECT_EQ(a.partition, p);
+    EXPECT_EQ(b.partition, q);
+    EXPECT_EQ(a.action, b.action);
+    EXPECT_EQ(a.detail, b.detail);
+    EXPECT_EQ(bits(a.slack), bits(b.slack));
+    EXPECT_EQ(bits(a.predicted_throughput), bits(b.predicted_throughput));
+    EXPECT_EQ(bits(a.predicted_power_w), bits(b.predicted_power_w));
+  }
+  EXPECT_GE(pair.searches_run(), 2u);
+  EXPECT_GE(pair.balancer_actions(), 1u);
+  EXPECT_EQ(pair.searches_run(), sliced.searches_run());
+  EXPECT_EQ(pair.balancer_actions(), sliced.balancer_actions());
+
+  const Allocation three(std::vector<AppSlice>{q.ls, q.be, AppSlice{}});
+  EXPECT_THROW(sliced.decide(sample(8.5, 8000.0), three),
+               std::invalid_argument);
 }
 
 TEST(Controller, RejectsBadArguments) {

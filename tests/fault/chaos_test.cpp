@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "../core/fake_models.h"
-#include "cluster/cluster.h"
 #include "core/controller.h"
 #include "fault/injector.h"
+#include "fleet/fleet.h"
 #include "workloads/app_profile.h"
 
 namespace sturgeon::cluster {
@@ -32,6 +32,13 @@ NodeSpec fake_spec(const LoadTrace& trace) {
         server.power_budget_w());
   };
   return spec;
+}
+
+/// The fleet engine's lockstep path: quiescence and churn off.
+fleet::FleetConfig lockstep(ClusterConfig config) {
+  fleet::FleetConfig fc;
+  fc.cluster = std::move(config);
+  return fc;
 }
 
 std::vector<NodeSpec> fake_fleet(int n, int duration_s) {
@@ -75,8 +82,8 @@ ClusterResult run_fleet(int nodes, int epochs, std::uint64_t seed,
   config.threads = threads;
   config.resilience = defenses();
   if (faults) config.faults = standard_chaos();
-  ClusterSim sim(fake_fleet(nodes, epochs), config);
-  return sim.run();
+  fleet::FleetSim sim(fake_fleet(nodes, epochs), lockstep(config));
+  return sim.run().cluster;
 }
 
 TEST(Chaos, StandardScheduleKeepsFleetGuarantees) {
@@ -150,8 +157,8 @@ TEST(Chaos, CrashAndRecoverUnderParallelStepping) {
   config.faults.node.victim = 2;
   config.faults.node.crash_epoch = 5;
   config.faults.node.crash_epochs = 5;
-  ClusterSim sim(fake_fleet(6, 25), config);
-  const ClusterResult result = sim.run();
+  fleet::FleetSim sim(fake_fleet(6, 25), lockstep(config));
+  const ClusterResult result = sim.run().cluster;
 
   EXPECT_EQ(result.node_results[2].epochs_down, 5);
   EXPECT_GT(result.dead_node_epochs, 0);
@@ -170,8 +177,8 @@ TEST(Chaos, HungNodeIsDeclaredDeadAndRejoins) {
   config.faults.node.victim = 0;
   config.faults.node.hang_epoch = 8;
   config.faults.node.hang_epochs = 6;
-  ClusterSim sim(fake_fleet(3, 30), config);
-  const ClusterResult result = sim.run();
+  fleet::FleetSim sim(fake_fleet(3, 30), lockstep(config));
+  const ClusterResult result = sim.run().cluster;
 
   const NodeResult& victim = result.node_results[0];
   EXPECT_EQ(victim.epochs_hung, 6);
@@ -196,13 +203,13 @@ TEST(Chaos, SensorChaosAloneStaysClose) {
   config.faults.sensor.dropout_p = 0.10;
   config.faults.sensor.spike_p = 0.05;
   config.faults.sensor.spike_factor = 8.0;
-  ClusterSim noisy(fake_fleet(3, 40), config);
-  const ClusterResult faulted = noisy.run();
+  fleet::FleetSim noisy(fake_fleet(3, 40), lockstep(config));
+  const ClusterResult faulted = noisy.run().cluster;
 
   ClusterConfig clean_config = config;
   clean_config.faults = {};
-  ClusterSim clean(fake_fleet(3, 40), clean_config);
-  const ClusterResult baseline = clean.run();
+  fleet::FleetSim clean(fake_fleet(3, 40), lockstep(clean_config));
+  const ClusterResult baseline = clean.run().cluster;
 
   std::uint64_t rejected = 0;
   for (const auto& nr : faulted.node_results) rejected += nr.sensor_rejected;

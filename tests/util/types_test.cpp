@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace sturgeon {
 namespace {
 
@@ -79,6 +82,23 @@ TEST(Partition, ComplementSlice) {
   // Frequency level is clamped into the table.
   EXPECT_EQ(Allocation::complement(m, ls, 99).freq_level, m.max_freq_level());
   EXPECT_EQ(Allocation::complement(m, ls, -3).freq_level, 0);
+}
+
+TEST(Allocation, PairRoundTripAndComplement) {
+  const auto big = MachineSpec::xeon_e5_2630_v4();
+  Partition p;
+  p.ls = {6, big.max_freq_level(), 8};
+  p.be = Allocation::complement(big, p.ls, 2);
+  EXPECT_EQ(p.be.cores, big.num_cores - 6);
+  EXPECT_EQ(p.be.llc_ways, big.llc_ways - 8);
+  EXPECT_EQ(p.be.freq_level, 2);
+  const Allocation a = Allocation::of(p);
+  ASSERT_EQ(a.size(), 2);
+  EXPECT_EQ(a.to_partition(), p);
+  // Slice 0 owns the machine, two empty slices: not pair-shaped.
+  const Allocation three(std::vector<AppSlice>{
+      {big.num_cores, big.max_freq_level(), big.llc_ways}, {}, {}});
+  EXPECT_THROW(three.to_partition(), std::invalid_argument);
 }
 
 }  // namespace

@@ -6,19 +6,26 @@
     python3 tools/bench_diff.py --self-test
 
 Each file is a report.json that `python3 perfbench/run.py --workload W
---seed S --trace 0` writes under .bench_build/out/W-seedS-trace0/ (copy
-it away after each run: the next run of the same workload and seed
-overwrites it). Give the same number of parent and change reports, all
-of one workload and seed; parent i and change i form pair i.
+--seed S --trace T` writes under .bench_build/out/W-seedS-traceT/ (copy
+it away after each run: the next run of the same workload, seed and
+trace mode overwrites it). Give the same number of parent and change
+reports, all of one workload, seed and trace mode; parent i and change i
+form pair i.
 
 Checks, each of which makes the exit status non-zero:
   - every report passed perfbench's correctness checks;
-  - every episode of every report has the same simulation digest;
+  - every episode (or, traced, every variant) of every report has the
+    same simulation digest;
   - the simulation's statistics (the report's raw "stats", which hold the
     simulated end-to-end metrics qos_rate, be_throughput and
     peak_power_ratio) are identical in every report;
-  - no host metric's change median is worse than the parent's median by
-    more than its BENCHMARK.json bound, unless the metric is unresolved.
+  - untraced (--trace 0): no host metric's change median is worse than
+    the parent's median by more than its BENCHMARK.json bound, unless
+    the metric is unresolved;
+  - traced (--trace 1): every per-layer metric whose BENCHMARK.json unit
+    is "count" or "calls/decide" has one value in every report, and so
+    does the report's raw "calls". Timing layers are printed without a
+    verdict.
 
 For each end-to-end metric it prints both sides' median and quartiles,
 the relative change of the median, how many pairs the change won (ties
@@ -26,10 +33,11 @@ count for neither side) and the bound. A host metric is "unresolved"
 when the parent's interquartile range, relative to its median, exceeds
 the bound -- unless every change run is better than every parent run.
 
---claim METRIC applies the rule for claiming a gain: the change wins at
-least nine tenths of the pairs and the medians differ, in the better
-direction, by more than the parent's interquartile range. The exit
-status is non-zero when the claim is not met.
+--claim METRIC applies the rule for claiming a gain to an untraced
+end-to-end metric: the change wins at least nine tenths of the pairs
+and the medians differ, in the better direction, by more than the
+parent's interquartile range. The exit status is non-zero when the
+claim is not met.
 """
 
 from __future__ import annotations
@@ -44,6 +52,8 @@ import tempfile
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+# Per-layer units that count work, so a bit-identical change repeats them.
+DETERMINISTIC_UNITS = ("count", "calls/decide")
 
 
 class InputError(Exception):
@@ -74,16 +84,18 @@ def compare(parent: list[dict], change: list[dict], spec: dict,
     if len(shapes) != 1:
         raise InputError(f"reports differ in workload or seed: "
                          f"{sorted(shapes)}")
-    if any(r["raw"].get("trace") for r in reports):
-        raise InputError("traced (--trace 1) reports carry no end-to-end "
-                         "metrics; give --trace 0 reports")
+    modes = {bool(r["raw"].get("trace")) for r in reports}
+    if len(modes) != 1:
+        raise InputError("reports mix --trace 0 and --trace 1 runs")
+    traced = modes.pop()
     bounds = {m["name"]: m for m in spec["end_to_end"]}
-    if claim is not None and claim not in bounds:
-        raise InputError(f"--claim {claim}: not an end-to-end metric")
+    if claim is not None and (traced or claim not in bounds):
+        raise InputError(f"--claim {claim}: not an end-to-end metric of "
+                         "--trace 0 reports")
 
     workload, seed = shapes.pop()
     lines = [f"bench_diff: workload {workload}, seed {seed}, "
-             f"{len(parent)} pairs"]
+             f"trace {int(traced)}, {len(parent)} pairs"]
     ok = True
 
     def fail(msg: str) -> None:
@@ -97,10 +109,9 @@ def compare(parent: list[dict], change: list[dict], spec: dict,
                 fail(f"{side} report {i + 1} failed perfbench checks: "
                      f"{r['failures']}")
     seen = sorted({d for r in reports for d in digests(r)})
-    episodes = sum(len(digests(r)) for r in reports)
+    runs = sum(len(digests(r)) for r in reports)
     if len(seen) == 1:
-        lines.append(f"  simulation digest {seen[0]} in all {episodes} "
-                     "episodes")
+        lines.append(f"  simulation digest {seen[0]} in all {runs} runs")
     else:
         fail(f"simulation digests differ: {seen}")
     stats0 = parent[0]["raw"]["stats"]
@@ -112,6 +123,11 @@ def compare(parent: list[dict], change: list[dict], spec: dict,
                     fail(f"simulated statistic {key}: parent report 1 has "
                          f"{stats0.get(key)!r}, {side} report {i + 1} "
                          f"has {st.get(key)!r}")
+
+    if traced:
+        layer_rows(parent, change, spec, lines, fail)
+        lines.append(f"bench_diff: {'OK' if ok else 'FAILED'}")
+        return lines, ok
 
     lines.append(f"  {'metric':<22} {'parent median [q1, q3]':>32} "
                  f"{'change median [q1, q3]':>32} {'change':>8} "
@@ -158,6 +174,38 @@ def compare(parent: list[dict], change: list[dict], spec: dict,
     return lines, ok
 
 
+def layer_rows(parent: list[dict], change: list[dict], spec: dict,
+               lines: list[str], fail) -> None:
+    """Per-layer rows of traced reports: work counts and the run's call
+    counts must repeat exactly; timings are printed without a verdict."""
+    reports = parent + change
+    lines.append(f"  {'layer':<32} {'unit':<14} {'parent median':>14} "
+                 f"{'change median':>14} {'change':>8}  verdict")
+    for m in spec["per_layer"]:
+        name = m["name"]
+        if not all(name in r["metrics"] for r in reports):
+            fail(f"{name} missing from a report")
+            continue
+        p = [r["metrics"][name]["value"] for r in parent]
+        c = [r["metrics"][name]["value"] for r in change]
+        pm, cm = statistics.median(p), statistics.median(c)
+        rel = (cm - pm) / abs(pm) if pm else 0.0
+        verdict = ""
+        if m["unit"] in DETERMINISTIC_UNITS:
+            verdict = "identical" if len(set(p + c)) == 1 else "DIFFERS"
+            if verdict == "DIFFERS":
+                fail(f"{name}: work count differs: parent {p}, change {c}")
+        lines.append(f"  {name:<32} {m['unit']:<14} {pm:>14.6g} "
+                     f"{cm:>14.6g} {rel:>+8.1%}  {verdict}".rstrip())
+    calls0 = parent[0]["raw"]["calls"]
+    for side, group in (("parent", parent), ("change", change)):
+        for i, r in enumerate(group):
+            if r["raw"]["calls"] != calls0:
+                fail(f"calls in the run: parent report 1 has {calls0}, "
+                     f"{side} report {i + 1} has {r['raw']['calls']}")
+    lines.append(f"  calls in the run: {json.dumps(calls0)}")
+
+
 def load(paths: list[str]) -> list[dict]:
     out = []
     for p in paths:
@@ -193,6 +241,23 @@ def synthetic(spec: dict, host: dict[str, float], digest: str = "ab" * 8,
     return {"context": {}, "metrics": metrics, "failures": [],
             "raw": {"workload": "pairs", "seed": 5, "trace": False,
                     "episodes": [{"digest": digest}] * 3, "stats": stats}}
+
+
+def synthetic_traced(spec: dict, timing: float = 1.0,
+                     count: float = 42.0) -> dict:
+    """A trace-1 report: every count layer reads `count`, every other
+    layer `timing`."""
+    stats = {"ls_completed": 1000, "qos_rate": 0.97, "be_throughput": 0.5,
+             "peak_power_ratio": 0.9}
+    metrics = {m["name"]: {"value": count if m["unit"] in
+                           DETERMINISTIC_UNITS else timing,
+                           "unit": m["unit"]}
+               for m in spec["per_layer"]}
+    return {"context": {}, "metrics": metrics, "failures": [],
+            "raw": {"workload": "pairs", "seed": 5, "trace": True,
+                    "variants": [{"name": "traced", "digest": "ab" * 8}],
+                    "stats": stats, "layers": metrics,
+                    "calls": {"node_steps": 4320, "decides": 4320}}}
 
 
 def self_test() -> int:
@@ -263,6 +328,35 @@ def self_test() -> int:
             c[0]["raw"]["seed"] = 6
         try:
             compare(p, c, spec)
+            expect(False, f"{what} are rejected")
+        except InputError:
+            expect(True, f"{what} are rejected")
+
+    # Traced reports: counts repeat exactly, timings carry no verdict.
+    traced_p = [synthetic_traced(spec, timing=t) for t in (1.0, 1.1, 0.9)]
+    traced_c = [synthetic_traced(spec, timing=t) for t in (2.0, 0.5, 1.3)]
+    lines, ok = compare(traced_p, traced_c, spec)
+    expect(ok, "traced reports with equal counts and new timings pass")
+    expect(verdict(lines, "sim.ls_queries") == "identical" and
+           verdict(lines, "core.model_calls_per_decide") == "identical",
+           "equal count and calls/decide layers read 'identical'")
+    expect(verdict(lines, "core.predict_ns").endswith("%"),
+           "a timing layer is printed without a verdict")
+    one_off = [synthetic_traced(spec) for _ in range(3)]
+    one_off[2]["metrics"]["core.searches"]["value"] = 43.0
+    lines, ok = compare(traced_p, one_off, spec)
+    expect(not ok and verdict(lines, "core.searches") == "DIFFERS",
+           "one differing per-layer count fails")
+    calls = [synthetic_traced(spec) for _ in range(3)]
+    calls[1]["raw"]["calls"]["decides"] = 4319
+    expect(not compare(traced_p, calls, spec)[1],
+           "a differing call count in the run fails")
+    for what, p, c, claim in (
+            ("mixed trace modes", rate(base[:3]), traced_c, None),
+            ("claims on traced reports", traced_p, traced_c,
+             "node_epochs_per_cpu_s")):
+        try:
+            compare(p, c, spec, claim)
             expect(False, f"{what} are rejected")
         except InputError:
             expect(True, f"{what} are rejected")
