@@ -3,13 +3,13 @@
 // ClusterResult is what a run of the fleet engine (fleet/fleet.h)
 // aggregates.
 //
-// Layering per epoch (the lockstep path; the event path steps only the
-// nodes it woke):
+// Layering per epoch (with quiescence skipping on, only the awake nodes
+// step and caps between rebalances come from delta revisions):
 //
 //   PowerCoordinator   splits the cluster budget into per-node caps from
 //                      the fleet's last-epoch reports (sequential, node
 //                      order -- see coordinator.h);
-//   ClusterNode.step   every node runs its own policy + governor under
+//   ClusterNode.step   each node runs its own policy + governor under
 //                      its cap; steps are independent, so the fleet
 //                      advances in parallel on the shared ThreadPool;
 //   aggregation        cluster power / QoS / throughput roll-ups, again

@@ -193,12 +193,18 @@ class SlackHarvestCoordinator final : public PowerCoordinator {
       const std::vector<NodeReport>& reports) override {
     check_inputs(cluster_budget_w, reports);
     const std::size_t n = reports.size();
+    double allocated = 0.0;
+    for (const auto& r : reports) allocated += r.cap_w;
+
     // Stateful evolution needs trustworthy last-epoch caps fleet-wide.
     // Before any node's first epoch, or on the epoch a node rejoins
     // after an outage (its cap_w/power_w predate the crash), re-base on
     // the budget-proportional split -- which also re-grants a rejoining
     // node its share in one step -- with dead nodes pinned at idle.
-    bool rebase = false;
+    // Likewise when the reported caps sum past the budget: some report
+    // predates a cap change (a node asleep through a rebalance, a report
+    // late on the wire), and evolving from it would oversubscribe.
+    bool rebase = allocated > cluster_budget_w * (1.0 + 1e-9);
     for (const auto& r : reports) {
       rebase = rebase || r.liveness == Liveness::kNeverReported || r.rejoined;
     }
@@ -212,8 +218,6 @@ class SlackHarvestCoordinator final : public PowerCoordinator {
     for (std::size_t i = 0; i < n; ++i) caps[i] = reports[i].cap_w;
 
     // Watts the previous assignment left unallocated rejoin the pool.
-    double allocated = 0.0;
-    for (const double c : caps) allocated += c;
     double pool = std::max(0.0, cluster_budget_w - allocated);
 
     // Dead-node reclamation: a crashed node draws only uncore power, so
@@ -377,7 +381,7 @@ int HeartbeatTracker::update(int t, const std::vector<int>& last_step_epoch,
                  "HeartbeatTracker::update: lease_lapsed size mismatch");
   currently_dead_ = 0;
   for (std::size_t i = 0; i < state_.size(); ++i) {
-    // Heartbeat = the node completed its lockstep step. `t` is the
+    // Heartbeat = the node completed its step. `t` is the
     // epoch about to run, so a healthy node's last heartbeat is t-1 and
     // `missed` counts the silent epochs since.
     const int missed = (t - 1) - last_step_epoch[i];

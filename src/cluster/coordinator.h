@@ -119,7 +119,7 @@ struct HeartbeatConfig {
 };
 
 /// Coordinator-side liveness bookkeeping: watches which nodes actually
-/// completed their lockstep step and stamps Liveness/rejoined onto the
+/// completed their step and stamps Liveness/rejoined onto the
 /// report vector before each budget split. Dead nodes' caps collapse to
 /// their idle floor (the package draws uncore power even crashed), the
 /// freed watts rejoin the pool, and a rejoin re-grants them. Completed

@@ -83,6 +83,7 @@ ClusterNode::ClusterNode(int id, NodeSpec spec, std::uint64_t seed,
              derive_seed(seed, fault::kRetryJitterStream)),
       watchdog_(resilience_.watchdog),
       safe_partition_(Partition::all_to_ls(server_.machine())),
+      policy_partition_(safe_partition_),
       telemetry_(std::move(telemetry)),
       metrics_(server_.power_budget_w()),
       governor_(governor) {
@@ -193,7 +194,7 @@ Partition ClusterNode::throttled(Partition p) const {
 }
 
 void ClusterNode::step_down() {
-  // Crashed: the machine is off. The lockstep epoch still elapses (the
+  // Crashed: the machine is off. The epoch still elapses (the
   // validator's epochs-equality contract holds), but nothing is served,
   // no power is drawn, and the heartbeat stays silent so the
   // coordinator's tracker can declare the node dead.
@@ -338,7 +339,21 @@ void ClusterNode::step(int t) {
         decide_sample.be_throughput_norm /= inflation;
       }
     }
-    next = policy_->decide(decide_sample, retry_.current());
+    // A failed apply can leave the tools in a mixture the isolation
+    // stack could never program (say, BE cores with zero BE ways), and
+    // resync() reads it back. The enforcer keeps that mixture for its
+    // shrink-before-grow ordering; the policy gets the last partition it
+    // was handed instead.
+    if (retry_.current().enforceable_on(server_.machine())) {
+      policy_partition_ = retry_.current();
+    } else {
+      if (substitutions_counter_ == nullptr) {
+        substitutions_counter_ = &telemetry_->metrics().counter(
+            "fault.actuator.partition_substitutions");
+      }
+      substitutions_counter_->inc();
+    }
+    next = policy_->decide(decide_sample, policy_partition_);
     action = policy_->last_decision().action_string();
     span.attr("action", action);
   }

@@ -116,8 +116,8 @@ struct NodeResult {
   /// Epochs the governor spent throttling below the policy's choice.
   int throttled_epochs = 0;
   // -- fault/recovery accounting (all zero in fault-free runs) --------
-  int epochs_down = 0;      ///< lockstep epochs spent crashed
-  int epochs_hung = 0;      ///< lockstep epochs with a stalled control loop
+  int epochs_down = 0;      ///< epochs spent crashed
+  int epochs_hung = 0;      ///< epochs with a stalled control loop
   int safe_mode_epochs = 0; ///< epochs spent in watchdog safe mode
   int watchdog_trips = 0;
   /// Completed safe-mode episode lengths (trip to clear), for MTTR.
@@ -126,9 +126,9 @@ struct NodeResult {
   std::uint64_t sensor_rejected = 0;   ///< sanitizer interventions
   std::uint64_t actuator_retries = 0;  ///< extra enforcer attempts
   std::uint64_t actuator_gave_up = 0;  ///< applies abandoned after retries
-  // -- event-driven engine accounting (always zero under lockstep) ----
-  /// Epochs the fleet engine skipped this node while quiescent; in an
-  /// event-driven run epochs + skipped_epochs == the run's epoch count.
+  // -- quiescence accounting (zero with skipping off) -----------------
+  /// Epochs the fleet engine skipped this node while quiescent;
+  /// epochs + skipped_epochs == the run's epoch count.
   int skipped_epochs = 0;
   /// Times the engine woke the node out of quiescence (load shift, job
   /// arrival/finish, cap change, rebalance).
@@ -163,8 +163,8 @@ class ClusterNode {
   /// inactive (the churn engine drained the node's last job) step()
   /// bypasses the policy and holds the all-to-LS partition: the LS
   /// service keeps serving, the BE slice is empty, and the node draws
-  /// LS-only power. Defaults active -- lockstep runs never call this,
-  /// so pre-fleet behaviour is bit-identical.
+  /// LS-only power. Defaults active -- runs without churn never call
+  /// this, so pre-fleet behaviour is bit-identical.
   void set_be_active(bool active) { be_active_ = active; }
   bool be_active() const { return be_active_; }
 
@@ -177,7 +177,7 @@ class ClusterNode {
   /// epoch).
   bool has_fault_injector() const { return injector_ != nullptr; }
 
-  /// Advance one lockstep epoch at trace time `t`. Thread-safe with
+  /// Advance one epoch at trace time `t`. Thread-safe with
   /// respect to OTHER nodes (no shared mutable state); never call
   /// concurrently on the same node.
   void step(int t);
@@ -240,6 +240,9 @@ class ClusterNode {
   fault::SignalSanitizer latency_sanitizer_;
   fault::NodeWatchdog watchdog_;
   Partition safe_partition_;  ///< known-safe fallback (all-to-LS)
+  /// Last partition handed to the policy (all-to-LS at start): what the
+  /// policy sees when the enforcer's current() is not enforceable.
+  Partition policy_partition_;
   std::unique_ptr<core::Policy> policy_;
   std::shared_ptr<telemetry::TelemetryContext> telemetry_;
   telemetry::RunMetrics metrics_;
@@ -270,6 +273,10 @@ class ClusterNode {
   telemetry::Counter* throttle_counter_ = nullptr;
   telemetry::Counter* safe_mode_counter_ = nullptr;
   telemetry::Counter* cap_unsupported_counter_ = nullptr;
+  /// fault.actuator.partition_substitutions: decides that got
+  /// policy_partition_ in place of an unenforceable current(). Bound on
+  /// first use: a counter is 1 KB, and most nodes never substitute.
+  telemetry::Counter* substitutions_counter_ = nullptr;
   telemetry::Gauge* degraded_gauge_ = nullptr;
   telemetry::Gauge* power_cap_gauge_ = nullptr;  ///< bound on first re-cap
 };

@@ -1,10 +1,9 @@
 // Fleet construction and aggregation for the fleet engine
 // (fleet/fleet.h). build_cluster() places, seeds and warms the nodes and
 // resolves the cluster budget; ClusterRollup owns every per-epoch
-// cluster instrument and the end-of-run ClusterResult assembly. Both
-// FleetSim paths -- lockstep (every node every epoch) and event-driven
-// (quiescent nodes skipped) -- feed the same rollup in the same order,
-// so they differ only in WHICH nodes step each epoch.
+// cluster instrument and the end-of-run ClusterResult assembly. FleetSim
+// feeds it once per epoch in the same order whether quiescence skipping
+// is on or off.
 #pragma once
 
 #include <memory>
@@ -60,8 +59,7 @@ class ClusterRollup {
 
   /// Assemble the ClusterResult: per-node results, fleet QoS/throughput
   /// roll-ups, recovery accounting, fleet.* counter roll-up, final
-  /// gauges and flushes. Both engine paths end here, so identical node
-  /// states give identical results.
+  /// gauges and flushes.
   ClusterResult finalize(
       int epochs, const std::string& coordinator_name,
       const std::vector<std::unique_ptr<ClusterNode>>& nodes,

@@ -12,7 +12,7 @@
 // Delivery model (virtual epoch clock, no wall time):
 //   - a message sent at epoch t is normally receivable at epoch t
 //     (same-epoch delivery: the coordinator's grant reaches the node
-//     before the node steps, exactly like the lockstep direct path);
+//     before the node steps, exactly like the direct transport);
 //   - a delay fault postpones delivery by 1..max_delay_epochs;
 //   - a duplicate fault delivers a second copy one epoch after the
 //     first (the interesting case for idempotence: the dupe arrives in

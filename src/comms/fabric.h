@@ -7,7 +7,7 @@
 // the node never SENDING reports while down, so its adoptions are
 // never acked and the ledger stays conservative about it).
 //
-// Per-epoch call order (all from the engines' sequential phases):
+// Per-epoch call order (all from the engine's sequential phases):
 //
 //   collect(t)                 drain the coordinator inbox: refresh the
 //                              report vector, heartbeat epochs, acks,
@@ -43,9 +43,10 @@ namespace sturgeon::comms {
 
 class CommsFabric {
  public:
-  /// `initial_reports` seeds the coordinator's report vector (what the
-  /// lockstep path reads from the nodes at t=0, before any message
-  /// could arrive); `idle_w` feeds the autonomous fallback split.
+  /// `initial_reports` seeds the coordinator's report vector (the
+  /// nodes' pre-step reports, which the direct transport reads at t=0,
+  /// before any message could arrive); `idle_w` feeds the autonomous
+  /// fallback split.
   /// `seed` should be derive_seed(engine seed, kCommsStream).
   CommsFabric(const CommsConfig& config, std::uint64_t seed, double budget_w,
               std::vector<cluster::NodeReport> initial_reports,

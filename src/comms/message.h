@@ -1,6 +1,6 @@
 // Typed coordinator<->node protocol messages and the comms configuration.
 //
-// The lockstep engines pass caps and reports through shared memory; at
+// The direct transport passes caps and reports through shared memory; at
 // fleet scale those are network messages, and the budget-safety story
 // has to survive the network losing, delaying, duplicating and
 // reordering them. This header defines the wire format:

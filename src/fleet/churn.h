@@ -1,6 +1,6 @@
 // Workload churn: the job population the fleet engine manages online.
 //
-// The lockstep cluster pins one LS/BE pair per node forever; real
+// Without churn the fleet pins one LS/BE pair per node forever; real
 // datacenters see best-effort work arrive, run and finish continuously
 // (CuttleSys manages exactly such a churning co-scheduled population).
 // The ChurnEngine models that: a seeded deterministic arrival process

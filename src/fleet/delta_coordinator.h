@@ -1,8 +1,8 @@
-// Incremental power coordination for the event-driven fleet.
+// Incremental power coordination for the quiescence-skipping fleet.
 //
-// The lockstep PowerCoordinator re-splits the whole budget from all N
-// reports every epoch -- O(N) coordinator work per epoch, which defeats
-// the point of skipping node steps. The DeltaCoordinator keeps the full
+// A full PowerCoordinator split re-divides the whole budget from all N
+// reports -- O(N) coordinator work, which, run every epoch, defeats the
+// point of skipping node steps. The DeltaCoordinator keeps the full
 // strategies for *periodic* rebalances (rebase() from a full assign)
 // and between them revises only the caps of nodes that actually woke
 // and stepped, against a running (cap_sum, pool) pair:

@@ -1,11 +1,13 @@
 // Fleet events: the currency of the event-driven stepping engine.
 //
-// The lockstep path touches every node every epoch; the event path
-// instead advances a priority queue of events keyed by
-// (time, node, seq). A node with nothing happening -- stable load
-// trace, slack in band, no pending faults, no churn -- schedules its
-// next wake and is skipped until that epoch arrives or some event
-// (job arrival/finish, cap change, rebalance) targets it earlier.
+// FleetSim's epoch loop starts every epoch by draining a priority queue
+// of events keyed by (time, node, seq). With quiescence skipping on, a
+// node with nothing happening -- stable load trace, slack in band, no
+// pending faults, no churn -- schedules its next wake and is skipped
+// until that epoch arrives or some event (job arrival/finish, cap
+// change, rebalance) targets it earlier. With skipping off no node
+// sleeps and no rebalance is queued: the only events are churn
+// arrivals.
 //
 // Determinism: the triple key totally orders events. `time` is the
 // epoch the event fires, `node` breaks ties across nodes in fleet

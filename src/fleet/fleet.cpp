@@ -34,10 +34,6 @@ FleetSim::FleetSim(std::vector<cluster::NodeSpec> specs, FleetConfig config)
   ctl_.resize(n);
   reports_.resize(n);
   last_steps_.assign(n, -1);
-  power_contrib_.assign(n, 0.0);
-  ls_contrib_.assign(n, 0);
-  ls_met_contrib_.assign(n, 0);
-  be_norm_contrib_.assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     // Fault timelines must advance every epoch; armed nodes never sleep.
     ctl_[i].never_sleep = nodes_[i]->has_fault_injector();
@@ -54,161 +50,27 @@ FleetResult FleetSim::run(int epochs) {
   }
   ran_ = true;
   if (epochs <= 0) epochs = max_trace_s_;
+  const std::size_t n = nodes_.size();
+  const bool skipping = config_.quiescence.enabled;
+
+  // Seed the persistent report vector from the nodes' pre-step state so
+  // the t=0 split sees real budgets; afterwards a node's entry refreshes
+  // only when it steps.
+  for (std::size_t i = 0; i < n; ++i) reports_[i] = nodes_[i]->report();
   if (config_.cluster.comms.enabled) {
-    const std::size_t n = nodes_.size();
-    std::vector<NodeReport> initial(n);
     std::vector<double> idle(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      initial[i] = nodes_[i]->report();
-      idle[i] = initial[i].idle_w;
-    }
+    for (std::size_t i = 0; i < n; ++i) idle[i] = reports_[i].idle_w;
     fabric_ = std::make_unique<comms::CommsFabric>(
         config_.cluster.comms,
         derive_seed(config_.cluster.seed, comms::kCommsStream), budget_w_,
-        std::move(initial), std::move(idle));
+        reports_, std::move(idle));
     dead_nodes_.assign(n, false);
     caps_.assign(n, 0.0);
   }
-  return config_.quiescence.enabled ? run_events(epochs)
-                                    : run_lockstep(epochs);
-}
 
-double FleetSim::be_rate(const NodeReport& report) {
-  double sum = 0.0;
-  for (const cluster::SliceReport& s : report.slices) {
-    if (!s.latency_sensitive) sum += s.throughput_norm;
-  }
-  return sum;
-}
-
-// ---------------------------------------------------------------------
-// Lockstep path: every node steps every epoch, the full coordinator
-// splits the budget each epoch. With churn disabled its results are
-// pinned to golden digests (tests/fleet/twin_test.cpp); with churn
-// enabled the job hooks slot in between the phases.
-// ---------------------------------------------------------------------
-
-FleetResult FleetSim::run_lockstep(int epochs) {
-  const std::size_t n = nodes_.size();
   ClusterRollup rollup(*telemetry_, budget_w_);
   coordinator_->reset();
   heartbeat_.reset();
-
-  for (int t = 0; t < epochs; ++t) {
-    telemetry::Span span = telemetry_->tracer().start_span("cluster.epoch");
-    span.attr("t_s", t);
-    rollup.begin_epoch();
-
-    if (config_.churn.enabled) {
-      const int next = churn_.next_arrival_epoch();
-      if (next >= 0 && next <= t) {
-        for (std::uint64_t id : churn_.arrive(t)) route_job(id, t);
-      }
-    }
-
-    // 1. Budget split (sequential, deterministic in node order). The
-    // heartbeat tracker stamps liveness first: a node that stopped
-    // stepping is declared dead after dead_after_epochs of silence and
-    // its cap collapses to the idle floor inside the coordinator. In
-    // comms mode the coordinator sees what the wire delivered (stale
-    // reports freeze, lost reports look like death), and each node obeys
-    // its lease (or the autonomous fallback), never the coordinator's
-    // wish directly; the budget check runs over those true caps.
-    int dead = 0;
-    if (fabric_) {
-      fabric_->collect(t);
-      reports_ = fabric_->reports();
-      dead = heartbeat_.update(t, fabric_->last_report_epochs(), reports_,
-                               fabric_->lease_lapsed());
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        reports_[i] = nodes_[i]->report();
-        last_steps_[i] = nodes_[i]->last_step_epoch();
-      }
-      dead = heartbeat_.update(t, last_steps_, reports_);
-    }
-    rollup.note_dead(dead);
-    const std::vector<double> caps = coordinator_->assign(budget_w_, reports_);
-    if (fabric_) {
-      for (std::size_t i = 0; i < n; ++i) dead_nodes_[i] = reports_[i].dead();
-      fabric_->send_grants(caps, dead_nodes_, t);
-      const std::vector<double>& effective = fabric_->effective_caps(t);
-      double cap_sum = 0.0;
-      for (const double c : effective) cap_sum += c;
-      rollup.note_cap_sum(cap_sum, t);
-      for (std::size_t i = 0; i < n; ++i) {
-        nodes_[i]->set_power_cap(effective[i]);
-      }
-    } else {
-      double cap_sum = 0.0;
-      for (const double c : caps) cap_sum += c;
-      rollup.note_cap_sum(cap_sum, t);
-      for (std::size_t i = 0; i < n; ++i) nodes_[i]->set_power_cap(caps[i]);
-    }
-
-    // 2. Every node advances one epoch, in parallel. Nodes share no
-    // mutable state, so the schedule cannot change results.
-    pool_.parallel_for(n, [&](std::size_t i) { nodes_[i]->step(t); });
-
-    // 3. Fleet aggregation (sequential again), over ground-truth power:
-    // a sensor fault may lie to the coordinator, but the budget verdict
-    // is about watts actually drawn.
-    double fleet_power = 0.0;
-    for (const auto& node : nodes_) fleet_power += node->true_power_w();
-    rollup.note_power(fleet_power);
-    int ls_total = 0, ls_met = 0;
-    double be_norm_sum = 0.0;
-    for (const auto& node : nodes_) {
-      for (const cluster::SliceReport& s : node->report().slices) {
-        if (s.latency_sensitive) {
-          ++ls_total;
-          if (s.qos_met) ++ls_met;
-        } else {
-          be_norm_sum += s.throughput_norm;
-        }
-      }
-    }
-    rollup.note_slices(ls_total, ls_met, be_norm_sum);
-
-    if (config_.churn.enabled) {
-      for (std::size_t i = 0; i < n; ++i) {
-        reports_[i] = nodes_[i]->report();
-        churn_post_step(i, t);
-      }
-    }
-
-    // Comms mode: a report reaches the coordinator only as a message,
-    // sent after a completed healthy step (crashed/hung nodes go silent
-    // for real -- that is what the heartbeat sees next epoch).
-    if (fabric_) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (nodes_[i]->last_step_epoch() == t) {
-          fabric_->send_report(static_cast<int>(i), nodes_[i]->report(), t, t);
-        }
-      }
-    }
-
-    span.attr("power_w", fleet_power).attr("dead_nodes", dead);
-  }
-
-  return finish(rollup, epochs);
-}
-
-// ---------------------------------------------------------------------
-// Event-driven path.
-// ---------------------------------------------------------------------
-
-FleetResult FleetSim::run_events(int epochs) {
-  const std::size_t n = nodes_.size();
-  ClusterRollup rollup(*telemetry_, budget_w_);
-  coordinator_->reset();
-  heartbeat_.reset();
-
-  // Seed the persistent report vector from the nodes' pre-step state so
-  // the t=0 rebalance sees real budgets (the lockstep path re-reads
-  // node->report() every epoch; here a node's entry refreshes only when
-  // it steps).
-  for (std::size_t i = 0; i < n; ++i) reports_[i] = nodes_[i]->report();
 
   auto& registry = telemetry_->metrics();
   telemetry::Counter& skipped_counter =
@@ -216,10 +78,10 @@ FleetResult FleetSim::run_events(int epochs) {
   telemetry::Gauge& depth_gauge = registry.gauge("fleet.event_queue.depth");
   telemetry::Gauge& woken_gauge = registry.gauge("fleet.woken_nodes");
 
-  // Seed the fleet-level event streams: the first churn arrival and the
-  // initial (t=0) full budget split; every later rebalance reschedules
-  // itself rebalance_period epochs ahead.
-  queue_.push(EventKind::kRebalance, 0, -1);
+  // Seed the fleet-level event streams: the first churn arrival and,
+  // with skipping on, the initial (t=0) full budget split; every later
+  // rebalance reschedules itself rebalance_period epochs ahead.
+  if (skipping) queue_.push(EventKind::kRebalance, 0, -1);
   if (config_.churn.enabled) {
     const int first = churn_.next_arrival_epoch();
     if (first >= 0 && first < epochs) {
@@ -227,8 +89,9 @@ FleetResult FleetSim::run_events(int epochs) {
     }
   }
 
-  std::vector<double> caps;
   for (int t = 0; t < epochs; ++t) {
+    telemetry::Span span = telemetry_->tracer().start_span("cluster.epoch");
+    span.attr("t_s", t);
     rollup.begin_epoch();
 
     // Phase 1: drain events due at t (pop order: (time, node, seq)).
@@ -249,6 +112,7 @@ FleetResult FleetSim::run_events(int epochs) {
         }
         case EventKind::kRebalance: {
           rebalance_due = true;
+          ++rebalances_;
           if (config_.delta.rebalance_period > 0 &&
               t + config_.delta.rebalance_period < epochs) {
             queue_.push(EventKind::kRebalance,
@@ -264,13 +128,17 @@ FleetResult FleetSim::run_events(int epochs) {
       }
     }
 
-    // Phase 2: heartbeat over the whole fleet. Scheduled sleepers beat
-    // virtually (they are healthy by construction -- only nodes without
-    // fault injectors may sleep); a crashed node stops beating for real
-    // because it never becomes eligible to sleep. In comms mode both
-    // signals cross the wire instead: stepped nodes sent reports,
-    // sleepers sent firmware heartbeats (end of phase 5), and the
-    // tracker reads whatever actually arrived.
+    // Phase 2: heartbeat over the whole fleet. A node that stopped
+    // stepping is declared dead after dead_after_epochs of silence and
+    // its cap collapses to the idle floor inside the coordinator.
+    // Scheduled sleepers beat virtually (they are healthy by
+    // construction -- only nodes without fault injectors may sleep); a
+    // crashed node stops beating for real because it never becomes
+    // eligible to sleep. In comms mode both signals cross the wire
+    // instead: the coordinator sees what the wire delivered (stale
+    // reports freeze, lost reports look like death), stepped nodes sent
+    // reports, sleepers sent firmware heartbeats (end of phase 5), and
+    // the tracker reads whatever actually arrived.
     int dead = 0;
     if (fabric_) {
       fabric_->collect(t);
@@ -290,25 +158,22 @@ FleetResult FleetSim::run_events(int epochs) {
     }
     rollup.note_dead(dead);
 
-    // Phase 3: caps. Rebalance epochs run the full strategy over the
-    // persistent report vector and rebase the delta state; other epochs
-    // revise only the awake nodes, O(#awake).
-    if (rebalance_due) {
-      ++rebalances_;
-      caps = coordinator_->assign(budget_w_, reports_);
+    // Phase 3: caps (sequential, deterministic in node order). A full
+    // split runs the coordinator's strategy over the persistent report
+    // vector and rebases the delta state: every epoch with skipping off,
+    // on kRebalance epochs with it on. Other epochs revise only the
+    // awake nodes, O(#awake). In comms mode each node obeys its lease
+    // (or the autonomous fallback), never the coordinator's wish
+    // directly, and the budget check runs over those true caps.
+    const bool full_split = !skipping || rebalance_due;
+    if (full_split) {
+      const std::vector<double> caps =
+          coordinator_->assign(budget_w_, reports_);
       delta_->rebase(caps);
       if (fabric_) {
         caps_ = caps;  // desired; what binds each node is its lease
       } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          nodes_[i]->set_power_cap(caps[i]);
-          if (ctl_[i].sleeping && caps[i] < power_contrib_[i]) {
-            // The new cap undercuts the frozen draw: the node must wake
-            // and re-govern this epoch (counts as a cap-change wake).
-            ++events_processed_;
-            wake_node(i, t);
-          }
-        }
+        for (std::size_t i = 0; i < n; ++i) recap(i, caps[i], t);
       }
     } else {
       for (std::size_t i = 0; i < n; ++i) {
@@ -327,17 +192,11 @@ FleetResult FleetSim::run_events(int epochs) {
       const std::vector<double>& eff = fabric_->effective_caps(t);
       if (fabric_->reliable()) {
         // Zero-fault channel: eff == caps_, so apply exactly where the
-        // direct path applies (every node on a rebalance epoch, awake
-        // nodes otherwise) and keep the delta pool as the invariant
-        // sum -- bit-identical to the direct path.
-        if (rebalance_due) {
-          for (std::size_t i = 0; i < n; ++i) {
-            nodes_[i]->set_power_cap(eff[i]);
-            if (ctl_[i].sleeping && eff[i] < power_contrib_[i]) {
-              ++events_processed_;
-              wake_node(i, t);
-            }
-          }
+        // direct path applies (every node on a full split, awake nodes
+        // otherwise) and keep the delta pool as the invariant sum --
+        // bit-identical to the direct path.
+        if (full_split) {
+          for (std::size_t i = 0; i < n; ++i) recap(i, eff[i], t);
         } else {
           for (std::size_t i = 0; i < n; ++i) {
             if (!ctl_[i].sleeping) nodes_[i]->set_power_cap(eff[i]);
@@ -346,17 +205,12 @@ FleetResult FleetSim::run_events(int epochs) {
         rollup.note_cap_sum(delta_->cap_sum(), t);
       } else {
         // Lossy channel: every node obeys its lease (or the autonomous
-        // fallback) every epoch. A lapse can drop a sleeping node's
-        // cap under its frozen draw -- it must wake and re-govern. The
-        // budget check runs over the TRUE caps: the safety claim.
+        // fallback) every epoch; a lapse can wake a sleeper. The budget
+        // check runs over the TRUE caps: the safety claim.
         double cap_sum = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
           cap_sum += eff[i];
-          nodes_[i]->set_power_cap(eff[i]);
-          if (ctl_[i].sleeping && eff[i] < power_contrib_[i]) {
-            ++events_processed_;
-            wake_node(i, t);
-          }
+          recap(i, eff[i], t);
         }
         rollup.note_cap_sum(cap_sum, t);
       }
@@ -364,7 +218,7 @@ FleetResult FleetSim::run_events(int epochs) {
       rollup.note_cap_sum(delta_->cap_sum(), t);
     }
 
-    // Phase 4: step the woken set in parallel (fleet order; nodes share
+    // Phase 4: step the awake set in parallel (fleet order; nodes share
     // no mutable state, so the schedule cannot change results).
     woken_.clear();
     for (std::size_t i = 0; i < n; ++i) {
@@ -373,23 +227,25 @@ FleetResult FleetSim::run_events(int epochs) {
     pool_.parallel_for(woken_.size(),
                        [&](std::size_t k) { nodes_[woken_[k]]->step(t); });
 
-    // Phase 5: sequential post-step over the woken set, fleet order:
-    // fold fresh contributions into the incremental aggregates, drain
-    // churn jobs, decide who sleeps next.
+    // Phase 5: sequential post-step over the awake set, fleet order:
+    // record fresh contributions, drain churn jobs, decide who sleeps
+    // next.
     for (std::size_t i : woken_) {
       const NodeReport& r = nodes_[i]->report();
-      update_contrib(i, r, nodes_[i]->true_power_w());
+      record_contrib(i, r, nodes_[i]->true_power_w());
       reports_[i] = r;
-      // Comms mode: a stepped healthy node reports over the wire (the
-      // engine-local reports_[i] above still feeds this epoch's churn
-      // and sleep decisions -- those are node-local control, not
+      // Comms mode: a report reaches the coordinator only as a message,
+      // sent after a completed healthy step (crashed/hung nodes go
+      // silent for real -- that is what the heartbeat sees next epoch).
+      // The engine-local reports_[i] above still feeds this epoch's
+      // churn and sleep decisions -- those are node-local control, not
       // coordinator state; the coordinator's copy refreshes from the
-      // fabric next epoch).
+      // fabric next epoch.
       if (fabric_ && nodes_[i]->last_step_epoch() == t) {
         fabric_->send_report(static_cast<int>(i), r, t, t);
       }
       if (config_.churn.enabled) churn_post_step(i, t);
-      maybe_sleep(i, t);
+      if (skipping) maybe_sleep(i, t);
     }
     // Scheduled sleepers are healthy by construction: their firmware
     // keeps beating so the coordinator does not declare them dead
@@ -402,12 +258,26 @@ FleetResult FleetSim::run_events(int epochs) {
         }
       }
     }
-    rollup.note_power(fleet_power_);
-    rollup.note_slices(ls_total_, ls_met_, be_norm_sum_);
+
+    // Fleet aggregation, summed in node order over every node's latest
+    // contribution (a sleeper's stays frozen at its last step), over
+    // ground-truth power: a sensor fault may lie to the coordinator, but
+    // the budget verdict is about watts actually drawn.
+    double fleet_power = 0.0, be_norm_sum = 0.0;
+    int ls_total = 0, ls_met = 0;
+    for (const NodeCtl& c : ctl_) {
+      fleet_power += c.power_w;
+      ls_total += c.ls;
+      ls_met += c.ls_met;
+      be_norm_sum += c.be_norm;
+    }
+    rollup.note_power(fleet_power);
+    rollup.note_slices(ls_total, ls_met, be_norm_sum);
 
     skipped_counter.add(static_cast<std::uint64_t>(n - woken_.size()));
     depth_gauge.set(static_cast<double>(queue_.size()));
     woken_gauge.set(static_cast<double>(woken_.size()));
+    span.attr("power_w", fleet_power).attr("dead_nodes", dead);
   }
 
   // Settle nodes still asleep at the end of the run so the per-node
@@ -427,6 +297,22 @@ FleetResult FleetSim::run_events(int epochs) {
   }
 
   return finish(rollup, epochs);
+}
+
+double FleetSim::be_rate(const NodeReport& report) {
+  double sum = 0.0;
+  for (const cluster::SliceReport& s : report.slices) {
+    if (!s.latency_sensitive) sum += s.throughput_norm;
+  }
+  return sum;
+}
+
+void FleetSim::recap(std::size_t i, double cap_w, int t) {
+  nodes_[i]->set_power_cap(cap_w);
+  if (ctl_[i].sleeping && cap_w < ctl_[i].power_w) {
+    ++events_processed_;
+    wake_node(i, t);
+  }
 }
 
 void FleetSim::wake_node(std::size_t i, int t) {
@@ -563,26 +449,18 @@ void FleetSim::maybe_sleep(std::size_t i, int t) {
   queue_.push(kind, wake, static_cast<int>(i));
 }
 
-void FleetSim::update_contrib(std::size_t i, const NodeReport& report,
+void FleetSim::record_contrib(std::size_t i, const NodeReport& report,
                               double true_power_w) {
-  fleet_power_ += true_power_w - power_contrib_[i];
-  power_contrib_[i] = true_power_w;
-  int ls = 0, met = 0;
-  double be = 0.0;
+  NodeCtl& c = ctl_[i];
+  c.power_w = true_power_w;
+  c.ls = 0;
+  c.ls_met = 0;
   for (const cluster::SliceReport& s : report.slices) {
-    if (s.latency_sensitive) {
-      ++ls;
-      if (s.qos_met) ++met;
-    } else {
-      be += s.throughput_norm;
-    }
+    if (!s.latency_sensitive) continue;
+    ++c.ls;
+    if (s.qos_met) ++c.ls_met;
   }
-  ls_total_ += ls - ls_contrib_[i];
-  ls_met_ += met - ls_met_contrib_[i];
-  be_norm_sum_ += be - be_norm_contrib_[i];
-  ls_contrib_[i] = ls;
-  ls_met_contrib_[i] = met;
-  be_norm_contrib_[i] = be;
+  c.be_norm = be_rate(report);
 }
 
 FleetResult FleetSim::finish(ClusterRollup& rollup, int epochs) {

@@ -14,9 +14,16 @@
 // fleet aggregates and schedules a wake at the earliest of: the next
 // trace shift out of the epsilon band, its earliest predicted job
 // completion, and a max-sleep backstop. External events (job arrival,
-// cap change from a rebalance) wake it earlier. The approximation is
-// therefore bounded by the band widths: anything larger than epsilon /
-// the slack band triggers a real step.
+// cap change from a rebalance) wake it earlier: anything larger than
+// epsilon / the slack band triggers a real step.
+//
+// The error this costs is measured, not assumed:
+// tests/fleet/skip_error_test.cpp runs a 16-node diurnal fleet with
+// skipping off and on (89-97% of node-epochs skipped). The fleet QoS
+// guarantee rate moves by <= 0.0017 and the peak fleet power ratio by
+// <= 0.03; aggregate BE throughput moves by <= 3.9% with churn on but
+// by up to 15.6% with churn off, because per-node means average
+// stepped epochs only.
 #pragma once
 
 #include "workloads/load_trace.h"
@@ -24,8 +31,11 @@
 namespace sturgeon::fleet {
 
 struct QuiescenceConfig {
-  /// Master switch: false = the lockstep path (every node steps every
-  /// epoch; the golden-digest tests run in this mode).
+  /// Master switch for skipping. It decides whether an awake node may
+  /// sleep after its step, and whether caps come from a full split every
+  /// epoch (false: every node steps every epoch; the golden-digest tests
+  /// run in this mode) or from kRebalance events plus delta revisions
+  /// (true).
   bool enabled = false;
   /// Trace band: a node sleeps only while |load(t') - load(t)| stays
   /// below this; the first epoch outside the band is a scheduled wake.

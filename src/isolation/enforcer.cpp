@@ -35,17 +35,9 @@ std::vector<int> ResourceEnforcer::be_core_list(int count) const {
 }
 
 void ResourceEnforcer::apply(const Partition& target) {
-  const bool be_empty = target.be.cores == 0;
-  if (!be_empty && !target.valid_for(machine_)) {
+  if (!target.enforceable_on(machine_)) {
     throw std::invalid_argument("ResourceEnforcer::apply: invalid target " +
                                 target.to_string(machine_));
-  }
-  if (be_empty &&
-      (target.ls.cores < 1 || target.ls.cores > machine_.num_cores ||
-       target.ls.llc_ways < 1 || target.ls.llc_ways > machine_.llc_ways ||
-       target.ls.freq_level < 0 ||
-       target.ls.freq_level >= machine_.num_freq_levels())) {
-    throw std::invalid_argument("ResourceEnforcer::apply: bad LS slice");
   }
 
   const auto ls_cores = ls_core_list(target.ls.cores);

@@ -21,8 +21,8 @@ class ResourceEnforcer {
   /// Apply `target`. LS cores are laid out from core 0 upward and LS ways
   /// from bit 0 upward; BE takes the top of each range, so growth of one
   /// app never collides with the other. Shrinks are staged before grows.
-  /// Throws std::invalid_argument for partitions the machine cannot
-  /// express (an empty BE slice is allowed).
+  /// Throws std::invalid_argument unless target.enforceable_on(machine)
+  /// (an empty BE slice is allowed).
   void apply(const Partition& target);
 
   /// The partition most recently applied (or reconstructed by resync()

@@ -23,17 +23,7 @@ SimulatedServer::SimulatedServer(const LsProfile& ls, const BeProfile& be,
       noise_rng_(derive_seed(seed, 2)) {}
 
 void SimulatedServer::set_partition(const Partition& p) {
-  const bool be_empty = p.be.cores == 0;
-  if (be_empty) {
-    // All-to-LS mode: only the LS slice must be well-formed.
-    if (!(p.ls.cores >= 1 && p.ls.cores <= config_.machine.num_cores &&
-          p.ls.llc_ways >= 1 && p.ls.llc_ways <= config_.machine.llc_ways &&
-          p.ls.freq_level >= 0 &&
-          p.ls.freq_level < config_.machine.num_freq_levels())) {
-      throw std::invalid_argument("set_partition: bad LS slice " +
-                                  p.to_string(config_.machine));
-    }
-  } else if (!p.valid_for(config_.machine)) {
+  if (!p.enforceable_on(config_.machine)) {
     throw std::invalid_argument("set_partition: invalid partition " +
                                 p.to_string(config_.machine));
   }

@@ -77,9 +77,9 @@ class SimulatedServer {
 
   /// Apply a resource configuration; takes effect from the next step()
   /// (the few-ms actuation latency of cpuset/CAT/DVFS is below the 1 s
-  /// interval resolution). Throws if invalid for the machine, except that
-  /// an empty BE slice (cores == 0) is allowed: it models the paper's
-  /// initial all-to-LS allocation.
+  /// interval resolution). Throws std::invalid_argument unless
+  /// p.enforceable_on(machine): an empty BE slice (cores == 0) is allowed,
+  /// it models the paper's initial all-to-LS allocation.
   void set_partition(const Partition& p);
   const Partition& partition() const { return partition_; }
 

@@ -81,6 +81,13 @@ bool Partition::valid_for(const MachineSpec& m) const {
          ls.llc_ways + be.llc_ways <= m.llc_ways;
 }
 
+bool Partition::enforceable_on(const MachineSpec& m) const {
+  if (be.cores != 0) return valid_for(m);
+  return ls.cores >= 1 && ls.cores <= m.num_cores && ls.llc_ways >= 1 &&
+         ls.llc_ways <= m.llc_ways && ls.freq_level >= 0 &&
+         ls.freq_level < m.num_freq_levels();
+}
+
 std::string Partition::to_string(const MachineSpec& m) const {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "<%dC, %.1fF, %dL; %dC, %.1fF, %dL>",

@@ -101,6 +101,13 @@ struct Partition {
   /// core and way totals fit, and both slices are non-empty.
   bool valid_for(const MachineSpec& m) const;
 
+  /// True iff the isolation stack can program the partition on `m`:
+  /// valid_for(m), or LS-only -- a well-formed LS slice beside an empty
+  /// BE slice (zero cores). ResourceEnforcer::apply and
+  /// SimulatedServer::set_partition accept exactly these, as does the
+  /// policies' precondition (ValidateConfig with an empty BE allowed).
+  bool enforceable_on(const MachineSpec& m) const;
+
   /// Paper-style rendering, e.g. "<8C, 1.2F, 7L; 12C, 2.2F, 13L>".
   std::string to_string(const MachineSpec& m) const;
 

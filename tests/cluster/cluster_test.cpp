@@ -1,5 +1,5 @@
 // End-to-end fleet tests on fake-model policies (no training), run on
-// the fleet engine's lockstep path, plus the determinism contract the
+// FleetSim with quiescence skipping off, plus the determinism contract the
 // cluster layer promises: one cluster seed fixes every node's streams,
 // so results are bit-identical across worker thread counts.
 #include <gtest/gtest.h>
@@ -35,7 +35,8 @@ NodeSpec fake_spec(const LoadTrace& trace) {
   return spec;
 }
 
-/// The fleet engine's lockstep path: quiescence and churn off.
+/// FleetSim with quiescence skipping and churn off: every node steps
+/// every epoch under a full budget split.
 fleet::FleetConfig lockstep(ClusterConfig config) {
   fleet::FleetConfig fc;
   fc.cluster = std::move(config);

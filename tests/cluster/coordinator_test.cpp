@@ -115,6 +115,22 @@ TEST(Coordinator, SlackHarvestFirstEpochProportionalToBudgets) {
   EXPECT_NEAR(caps[0] / caps[1], 2.0, 1e-9);
 }
 
+TEST(Coordinator, SlackHarvestRebasesWhenReportedCapsExceedBudget) {
+  auto coord = make_coordinator(CoordinatorKind::kSlackHarvest);
+  // Node 0's report predates a rebalance that moved 20 W of its cap to
+  // node 1 (it slept through it), so the reported caps sum past the
+  // budget. Evolving from them would oversubscribe; the split re-bases
+  // on the node budgets instead.
+  const std::vector<NodeReport> reports = {
+      report(120.0, 30.0, 100.0, 60.0, 0.15, true),
+      report(120.0, 30.0, 100.0, 99.0, 0.02, false),
+  };
+  const auto caps = coord->assign(180.0, reports);
+  expect_invariants(caps, reports, 180.0);
+  EXPECT_DOUBLE_EQ(caps[0], 90.0);
+  EXPECT_DOUBLE_EQ(caps[1], 90.0);
+}
+
 TEST(Coordinator, SlackHarvestMovesWattsFromDonorToStressedNode) {
   CoordinatorConfig config;  // defaults: alpha 0.10, beta 0.20
   auto coord = make_coordinator(CoordinatorKind::kSlackHarvest, config);

@@ -2,8 +2,8 @@
 // nodes talk ONLY through the MessageChannel.
 //
 //  - Zero-fault channel: bit-identical to the direct-call paths, for
-//    every coordinator strategy, on both FleetSim paths (lockstep and
-//    event-driven).
+//    every coordinator strategy, with FleetSim's quiescence skipping
+//    off and on.
 //  - Chaos-net: 20% drop + reorder + a 50-epoch full coordinator
 //    partition. The run must complete (the per-epoch STURGEON_CHECK on
 //    the TRUE cap sum is live the whole time), keep fleet QoS within 5
@@ -40,7 +40,8 @@ NodeSpec fake_spec(const LoadTrace& trace) {
   return spec;
 }
 
-/// The fleet engine's lockstep path: quiescence and churn off.
+/// FleetSim with quiescence skipping and churn off: every node steps
+/// every epoch under a full budget split.
 fleet::FleetConfig lockstep(ClusterConfig config) {
   fleet::FleetConfig fc;
   fc.cluster = std::move(config);

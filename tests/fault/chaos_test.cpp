@@ -34,7 +34,8 @@ NodeSpec fake_spec(const LoadTrace& trace) {
   return spec;
 }
 
-/// The fleet engine's lockstep path: quiescence and churn off.
+/// FleetSim with quiescence skipping and churn off: every node steps
+/// every epoch under a full budget split.
 fleet::FleetConfig lockstep(ClusterConfig config) {
   fleet::FleetConfig fc;
   fc.cluster = std::move(config);
@@ -217,6 +218,38 @@ TEST(Chaos, SensorChaosAloneStaysClose) {
   EXPECT_GE(faulted.fleet_qos_guarantee_rate,
             baseline.fleet_qos_guarantee_rate - 0.05);
   EXPECT_LE(faulted.max_cap_sum_ratio, 1.0 + 1e-9);
+}
+
+// A failed apply can leave cpuset/CAT half-changed, for example BE cores
+// with zero BE ways, and the enforcer's resync() reads that mixture
+// back. The node must hand its policy the last partition it was given
+// instead: SturgeonController::decide aborts on an unenforceable one.
+// Background actuator failures under a noisy diurnal load reach such a
+// mixture on most of these seeds.
+TEST(Chaos, FailedApplyNeverHandsThePolicyAnUnenforceablePartition) {
+  std::uint64_t substitutions = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    NodeSpec spec =
+        fake_spec(LoadTrace::diurnal(0.2, 0.8, 120).with_noise(0.05, seed));
+    spec.be = find_be("rt");
+    ClusterConfig config;
+    config.seed = seed;
+    config.threads = 1;
+    config.resilience.retry.max_attempts = 4;
+    config.faults.enabled = true;
+    config.faults.actuator.fail_p = 0.3;
+    fleet::FleetSim sim({spec}, lockstep(config));
+    const ClusterResult result = sim.run().cluster;
+
+    const NodeResult& node = result.node_results[0];
+    EXPECT_EQ(node.epochs, 120);
+    EXPECT_GT(node.actuator_retries, 0u);
+    substitutions += node.telemetry->metrics()
+                         .counter("fault.actuator.partition_substitutions")
+                         .value();
+  }
+  EXPECT_GT(substitutions, 0u);
 }
 
 }  // namespace

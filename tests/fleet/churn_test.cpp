@@ -156,8 +156,8 @@ TEST(FleetChurn, SustainedPressureMigratesJobs) {
   }
 }
 
-// Churn also rides the lockstep (no-skip) path: same invariants, and
-// the run is seed-deterministic across thread counts there too.
+// Churn also runs with skipping off: same invariants, and the run is
+// seed-deterministic across thread counts there too.
 TEST(FleetChurn, LockstepChurnIsDeterministicAndConsistent) {
   auto run_with = [](std::size_t threads) {
     FleetConfig fc;
@@ -181,9 +181,11 @@ TEST(FleetChurn, LockstepChurnIsDeterministicAndConsistent) {
             b.cluster.fleet_qos_guarantee_rate);
   EXPECT_EQ(a.cluster.aggregate_be_throughput,
             b.cluster.aggregate_be_throughput);
-  // Lockstep path: no events, no skipping.
+  // Skipping off: no node sleeps, and the only events are the queued
+  // churn arrivals, the same ones at every thread count.
   EXPECT_EQ(a.total_skipped_epochs, 0u);
-  EXPECT_EQ(a.events_processed, 0u);
+  EXPECT_EQ(a.events_processed, b.events_processed);
+  EXPECT_GT(a.events_processed, 0u);
 }
 
 }  // namespace

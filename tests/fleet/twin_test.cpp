@@ -1,10 +1,10 @@
-// The golden contract: FleetSim with quiescence skipping disabled and
-// zero churn runs the lockstep path, and its ClusterResult must stay
-// bit-identical to digests captured while a second, independent copy of
-// the lockstep loop still existed and matched it -- for every
-// coordinator over the direct, reliable-comms and chaos-net transports,
-// and under the standard fault schedule. Plus the event engine's own
-// determinism and accounting invariants.
+// The golden contract: FleetSim with quiescence skipping and churn off
+// steps every node every epoch under a full budget split, and its
+// ClusterResult must stay bit-identical to digests captured while two
+// independent copies of that loop still existed and matched each other
+// -- for every coordinator over the direct, reliable-comms and chaos-net
+// transports, and under the standard fault schedule. Plus the engine's
+// determinism and accounting invariants with skipping on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -202,7 +202,8 @@ struct Golden {
   std::uint64_t digest;
 };
 
-/// Lockstep digests on 4 fake-model nodes over 40 epochs.
+/// Golden digests (skipping and churn off) on 4 fake-model nodes over
+/// 40 epochs.
 std::vector<Golden> goldens() {
   const cluster::CoordinatorKind kinds[] = {
       cluster::CoordinatorKind::kStaticEqual,
@@ -245,7 +246,7 @@ TEST(FleetTwin, NoSkipNoChurnIsBitIdenticalToLockstep) {
     EXPECT_EQ(ResultDigest(actual.cluster).value(), g.digest)
         << std::hex << "digest 0x" << ResultDigest(actual.cluster).value();
     EXPECT_EQ(actual.cluster.epochs, 40);
-    // The lockstep path does no event-engine work at all.
+    // Skipping off without churn: nothing sleeps, no event is queued.
     EXPECT_EQ(actual.total_skipped_epochs, 0u);
     EXPECT_EQ(actual.total_wakes, 0u);
     EXPECT_EQ(actual.events_processed, 0u);
@@ -295,8 +296,8 @@ void expect_fleet_results_identical(const FleetResult& a,
   }
 }
 
-// Same seed, any worker thread count: the event path's queue, churn and
-// aggregation are engine-sequential, so skipping + churn must stay
+// Same seed, any worker thread count: the engine's queue, churn and
+// aggregation are sequential, so skipping + churn must stay
 // bit-identical across 1/2/8 threads.
 TEST(FleetEngine, EventModeDeterministicAcrossThreadCounts) {
   auto run_with = [](std::size_t threads) {
