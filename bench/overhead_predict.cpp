@@ -1,10 +1,21 @@
 // Section V-C overhead claim: "all models make a prediction within
 // 0.04 ms". Times single-row inference for every model family on models
 // trained over the memcached profiling dataset (google-benchmark).
+//
+// The *TableSweep benchmarks time one pass over the whole slice grid
+// (core::SliceGrid, every (cores, P-state, ways) slice of the machine)
+// through the deployed memcached models: a scalar predict() loop against
+// one predict_batch call. The predictor fills its BE tables with such a
+// batch sweep over the same grid.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bench_common.h"
+#include "core/features.h"
+#include "core/predictor.h"
 #include "core/trainer.h"
+#include "exp/model_registry.h"
 #include "ml/factory.h"
 
 using namespace sturgeon;
@@ -45,6 +56,85 @@ void BM_ClassifierPredict(benchmark::State& state) {
   state.SetLabel(ml::to_string(kind) + " classification");
 }
 
+/// The deployed memcached LS models and one feature row per grid slice
+/// at 35% of peak load.
+struct SweepFixture {
+  core::LsModels models;
+  std::vector<ml::FeatureRow> rows;
+
+  static const SweepFixture& get() {
+    static const SweepFixture f = [] {
+      SweepFixture fx;
+      const auto& ls = find_ls("memcached");
+      const auto cfg = bench::trainer_config();
+      fx.models = exp::ls_models_for(ls, cfg);
+      const MachineSpec& machine = cfg.server.machine;
+      const core::SliceGrid grid(machine);
+      const double qps = 0.35 * ls.peak_qps;
+      fx.rows.reserve(grid.size());
+      for (std::size_t i = 0; i < grid.size(); ++i) {
+        fx.rows.push_back(core::ls_features(machine, qps, grid.at(i)));
+      }
+      return fx;
+    }();
+    return f;
+  }
+
+  std::vector<double> flat() const {
+    std::vector<double> xs;
+    xs.reserve(rows.size() * rows[0].size());
+    for (const auto& row : rows) xs.insert(xs.end(), row.begin(), row.end());
+    return xs;
+  }
+};
+
+/// One scalar predict() per grid slice.
+template <typename Model>
+void scalar_sweep(benchmark::State& state, const Model& model) {
+  const auto& rows = SweepFixture::get().rows;
+  for (auto _ : state) {
+    double acc = 0.0;
+    for (const auto& row : rows) acc += model.predict(row);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows.size()));
+  state.SetLabel(model.name());
+}
+
+/// One predict_batch() call over the whole grid; `Out` is the model's
+/// output type.
+template <typename Out, typename Model>
+void batch_sweep(benchmark::State& state, const Model& model) {
+  const auto& fx = SweepFixture::get();
+  const std::vector<double> flat = fx.flat();
+  std::vector<Out> out(fx.rows.size());
+  for (auto _ : state) {
+    model.predict_batch(flat.data(), fx.rows.size(), fx.rows[0].size(),
+                        out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fx.rows.size()));
+  state.SetLabel(model.name());
+}
+
+void BM_ScalarPredictTableSweep(benchmark::State& state) {
+  scalar_sweep(state, *SweepFixture::get().models.power);
+}
+
+void BM_BatchPredictTableSweep(benchmark::State& state) {
+  batch_sweep<double>(state, *SweepFixture::get().models.power);
+}
+
+void BM_ScalarClassifyTableSweep(benchmark::State& state) {
+  scalar_sweep(state, *SweepFixture::get().models.qos);
+}
+
+void BM_BatchClassifyTableSweep(benchmark::State& state) {
+  batch_sweep<int>(state, *SweepFixture::get().models.qos);
+}
+
 }  // namespace
 
 BENCHMARK(BM_RegressorPredict)
@@ -61,5 +151,10 @@ BENCHMARK(BM_ClassifierPredict)
     ->Arg(static_cast<int>(ml::ModelKind::kKnn))
     ->Arg(static_cast<int>(ml::ModelKind::kSvm))
     ->Arg(static_cast<int>(ml::ModelKind::kMlp));
+
+BENCHMARK(BM_ScalarPredictTableSweep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BatchPredictTableSweep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScalarClassifyTableSweep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BatchClassifyTableSweep)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -15,7 +15,6 @@
 #include "core/balancer.h"
 #include "core/config_search.h"
 #include "exp/model_registry.h"
-#include "util/thread_pool.h"
 
 using namespace sturgeon;
 
@@ -47,21 +46,6 @@ void BM_SturgeonSearch(benchmark::State& state) {
   std::uint64_t invocations = 0, searches = 0;
   for (auto _ : state) {
     const auto result = search.search(fx.qps);
-    benchmark::DoNotOptimize(result.best);
-    invocations += result.model_invocations;
-    ++searches;
-  }
-  state.counters["model_calls_per_search"] =
-      static_cast<double>(invocations) / static_cast<double>(searches);
-}
-
-void BM_SturgeonSearchParallel(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  core::ConfigSearch search(*fx.predictor, fx.budget);
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  std::uint64_t invocations = 0, searches = 0;
-  for (auto _ : state) {
-    const auto result = search.search_parallel(fx.qps, pool);
     benchmark::DoNotOptimize(result.best);
     invocations += result.model_invocations;
     ++searches;
@@ -106,8 +90,6 @@ void BM_BalancerInvocation(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_SturgeonSearch)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SturgeonSearchParallel)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ExhaustiveSearch)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BalancerInvocation)->Unit(benchmark::kMicrosecond);
 

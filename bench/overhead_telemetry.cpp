@@ -5,7 +5,7 @@
 //     cost (sharded relaxed atomics; no locks after creation);
 //   - span open+close, against a disabled tracer (the default for every
 //     policy) and an enabled one;
-//   - BM_SturgeonSearch[Parallel]Traced vs the untraced twin from
+//   - BM_SturgeonSearchTraced vs the untraced twin from
 //     overhead_search: the end-to-end proof that instrumenting the
 //     search adds < 5% (one candidate_eval span per search against a
 //     ~50 us search body).
@@ -18,7 +18,6 @@
 #include "exp/model_registry.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
-#include "util/thread_pool.h"
 
 using namespace sturgeon;
 
@@ -126,33 +125,6 @@ void BM_SturgeonSearchTraced(benchmark::State& state) {
   }
 }
 
-void BM_SturgeonSearchParallelUntraced(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  core::ConfigSearch search(*fx.predictor, fx.budget);
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(search.search_parallel(fx.qps, pool).best);
-  }
-}
-
-void BM_SturgeonSearchParallelTraced(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  core::ConfigSearch search(*fx.predictor, fx.budget);
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  telemetry::MetricsRegistry registry;
-  telemetry::Tracer tracer(/*enabled=*/true);
-  tracer.bind_registry(&registry);
-  search.set_tracer(&tracer);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(search.search_parallel(fx.qps, pool).best);
-    if (tracer.finished_count() > (1u << 18)) {
-      state.PauseTiming();
-      tracer.clear();
-      state.ResumeTiming();
-    }
-  }
-}
-
 }  // namespace
 
 BENCHMARK(BM_CounterAdd)->Threads(1)->Threads(4)->Threads(8);
@@ -162,9 +134,5 @@ BENCHMARK(BM_SpanOpenClose);
 BENCHMARK(BM_SpanOpenCloseDisabled);
 BENCHMARK(BM_SturgeonSearchUntraced)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SturgeonSearchTraced)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SturgeonSearchParallelUntraced)
-    ->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SturgeonSearchParallelTraced)
-    ->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -11,7 +11,7 @@ namespace sturgeon::core {
 
 namespace {
 
-// Candidate-sweep attributes shared by every search flavor, so Sturgeon
+// Candidate-sweep attributes shared by both searches, so Sturgeon
 // and the exhaustive oracle emit the same span schema.
 void annotate_sweep(telemetry::Span& span, const SearchResult& r) {
   span.attr("candidates", static_cast<std::uint64_t>(r.candidates.size()))
@@ -21,7 +21,7 @@ void annotate_sweep(telemetry::Span& span, const SearchResult& r) {
       .attr("predicted_power_w", r.predicted_power_w);
 }
 
-// Postcondition of every search flavor: the chosen partition is
+// Postcondition of both searches: the chosen partition is
 // expressible on the machine, and a feasible result respects the budget
 // its own power prediction was admitted under.
 void check_search_result(const MachineSpec& m, const SearchResult& r,
@@ -193,56 +193,6 @@ SearchResult ConfigSearch::search(double qps_real) const {
 
   annotate_sweep(span, result);
   check_search_result(m, result, budget_w_, "ConfigSearch::search");
-  return result;
-}
-
-SearchResult ConfigSearch::search_parallel(double qps_real,
-                                           ThreadPool& pool) const {
-  const MachineSpec& m = predictor_.machine();
-  telemetry::Span span = tracer_ != nullptr
-                             ? tracer_->start_span("candidate_eval")
-                             : telemetry::Span{};
-  SearchResult result;
-  result.best = Partition::all_to_ls(m);
-
-  std::uint64_t& calls = result.model_invocations;
-  const auto c1_min = min_ls_cores(qps_real, calls);
-  if (!c1_min) {
-    annotate_sweep(span, result);
-    return result;
-  }
-
-  // Evaluate every candidate C1 independently; the sequential sweep's
-  // early stop (first candidate whose F2 reaches the top P-state) is
-  // applied afterwards so the result is bit-identical.
-  const int first = *c1_min;
-  const int count = m.num_cores - first;
-  std::vector<std::optional<Candidate>> evaluated(
-      static_cast<std::size_t>(count));
-  // One call count per candidate: workers never share a counter.
-  std::vector<std::uint64_t> candidate_calls(static_cast<std::size_t>(count),
-                                             0);
-  pool.parallel_for(static_cast<std::size_t>(count), [&](std::size_t i) {
-    evaluated[i] = evaluate_candidate(qps_real, first + static_cast<int>(i),
-                                      candidate_calls[i]);
-  });
-  for (const std::uint64_t c : candidate_calls) calls += c;
-
-  result.candidates.reserve(evaluated.size());
-  for (const auto& cand : evaluated) {
-    if (!cand) continue;
-    result.candidates.push_back(*cand);
-    if (!result.feasible ||
-        cand->predicted_throughput > result.predicted_throughput) {
-      result.feasible = true;
-      result.best = cand->partition;
-      result.predicted_throughput = cand->predicted_throughput;
-      result.predicted_power_w = cand->predicted_power_w;
-    }
-    if (cand->partition.be.freq_level == m.max_freq_level()) break;
-  }
-  annotate_sweep(span, result);
-  check_search_result(m, result, budget_w_, "ConfigSearch::search_parallel");
   return result;
 }
 

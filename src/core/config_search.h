@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/predictor.h"
-#include "util/thread_pool.h"
 
 namespace sturgeon::telemetry {
 class Tracer;
@@ -39,8 +38,7 @@ struct SearchResult {
   double predicted_throughput = 0.0;
   double predicted_power_w = 0.0;
   std::vector<Candidate> candidates;      ///< all feasible candidates seen
-  /// Model evaluations this search caused: 1 per scalar LS query, the
-  /// batch of every LS cache fill it triggered, none for a cache hit or a
+  /// Model evaluations this search caused: 1 per LS query, none for a
   /// BE table lookup. Counted by the search itself, so concurrent
   /// searches on a shared predictor never count each other's calls.
   std::uint64_t model_invocations = 0;
@@ -54,12 +52,6 @@ class ConfigSearch {
 
   /// Sturgeon's O(N log N) search at real-scale load `qps_real`.
   SearchResult search(double qps_real) const;
-
-  /// Same result as search(), but candidate LS core counts are evaluated
-  /// concurrently on `pool` (paper Section VII-E: "the search can also be
-  /// further accelerated using multithreading"). Deterministic: the
-  /// candidate set and winner match the sequential search.
-  SearchResult search_parallel(double qps_real, ThreadPool& pool) const;
 
   /// Exhaustive O(N^4) reference search over the full grid; used by the
   /// overhead experiment (Section VII-E) and as a search-quality oracle.
@@ -95,8 +87,8 @@ class ConfigSearch {
 
   /// Evaluate one candidate LS core count: just-enough ways and
   /// frequency, BE complement, budget-limited F2, predicted throughput
-  /// and power. Shared by search() and search_parallel(); nullopt when
-  /// the candidate leaves nothing for the BE app or busts the budget.
+  /// and power; nullopt when the candidate leaves nothing for the BE app
+  /// or busts the budget.
   std::optional<Candidate> evaluate_candidate(double qps_real, int c1,
                                               std::uint64_t& calls) const;
 

@@ -73,8 +73,7 @@ std::string SturgeonController::describe() const {
   os << name() << "(alpha=" << options_.alpha << ", beta=" << options_.beta
      << ", qos_target_ms=" << qos_target_ms_
      << ", power_budget_w=" << search_.power_budget_w() << ", balancer="
-     << (options_.enable_balancer ? "on" : "off")
-     << ", cache=" << (predictor_->cache_enabled() ? "on" : "off") << ")";
+     << (options_.enable_balancer ? "on" : "off") << ")";
   return os.str();
 }
 
@@ -261,8 +260,7 @@ Partition SturgeonController::decide(const sim::ServerTelemetry& sample,
           .attr("model_calls", result.model_invocations)
           .attr("predicted_throughput", result.predicted_throughput)
           .attr("predicted_power_w", result.predicted_power_w)
-          .attr("chosen", result.best.to_string(predictor_->machine()))
-          .attr("cache_hit_rate", predictor_->cache_stats().hit_rate());
+          .attr("chosen", result.best.to_string(predictor_->machine()));
     }
   }
   ValidateConfig(predictor_->machine(), result.best,

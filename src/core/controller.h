@@ -86,7 +86,7 @@ class SturgeonController : public Policy {
 
   const ResourceBalancer& balancer() const { return balancer_; }
 
-  /// The shared predictor (e.g. for cache/invocation statistics).
+  /// The shared predictor (e.g. for invocation statistics).
   const Predictor& predictor() const { return *predictor_; }
 
   /// Current compensation reserves (for tracing/tests).

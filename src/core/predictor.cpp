@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/features.h"
 #include "util/check.h"
@@ -10,11 +11,47 @@
 
 namespace sturgeon::core {
 
+SliceGrid::SliceGrid(const MachineSpec& machine)
+    : max_cores_(machine.num_cores),
+      levels_(machine.num_freq_levels()),
+      ways_(machine.llc_ways + 1),
+      size_(static_cast<std::size_t>(machine.num_cores + 1) *
+            static_cast<std::size_t>(levels_) *
+            static_cast<std::size_t>(ways_)) {}
+
+void SliceGrid::throw_outside(const AppSlice& slice) {
+  throw std::out_of_range("SliceGrid: slice <" + std::to_string(slice.cores) +
+                          "C, level " + std::to_string(slice.freq_level) +
+                          ", " + std::to_string(slice.llc_ways) +
+                          "L> outside the machine");
+}
+
+AppSlice SliceGrid::at(std::size_t index) const {
+  STURGEON_DCHECK(index < size_,
+                  "SliceGrid::at: index " << index << " >= " << size_);
+  const auto nf = static_cast<std::size_t>(levels_);
+  const auto nw = static_cast<std::size_t>(ways_);
+  AppSlice s;
+  s.llc_ways = static_cast<int>(index % nw);
+  s.freq_level = static_cast<int>((index / nw) % nf);
+  s.cores = static_cast<int>(index / (nw * nf));
+  return s;
+}
+
+ModelCallBreakdown ModelCallCounters::snapshot() const {
+  ModelCallBreakdown b;
+  b.ls_qos = ls_qos.load(std::memory_order_relaxed);
+  b.ls_power = ls_power.load(std::memory_order_relaxed);
+  b.be_ipc = be_ipc.load(std::memory_order_relaxed);
+  b.be_power = be_power.load(std::memory_order_relaxed);
+  return b;
+}
+
 namespace {
 
 /// Flattened feature matrix covering grid slices [first, grid.size()), in
-/// index order. `row_fn` maps an AppSlice to its FeatureRow, so the fills
-/// reuse the exact feature encoding of the scalar paths.
+/// index order. `row_fn` maps an AppSlice to its FeatureRow, so the BE
+/// table fills reuse the exact feature encoding of a scalar query.
 template <typename RowFn>
 std::vector<double> build_feature_matrix(const SliceGrid& grid,
                                          std::size_t first, RowFn&& row_fn,
@@ -95,60 +132,16 @@ Predictor::BeTables Predictor::make_be_tables(
   return tables;
 }
 
-void Predictor::enable_cache(PredictionCacheConfig config) {
-  cache_ = std::make_unique<PredictionCache>(machine_, config);
-}
-
-void Predictor::disable_cache() { cache_.reset(); }
-
 void Predictor::swap_models(TrainedModels models) {
   models = validate_models(std::move(models));
   be_ = make_be_tables(models);
   models_ = std::move(models);
-  if (cache_) cache_->invalidate();
-}
-
-telemetry::PredictionCacheStats Predictor::cache_stats() const {
-  return cache_ ? cache_->stats() : telemetry::PredictionCacheStats{};
-}
-
-void Predictor::fill_ls_qos_table(double qps_real,
-                                  std::vector<int>& table) const {
-  std::size_t stride = 0;
-  const auto xs = build_feature_matrix(
-      grid_, 0,
-      [&](const AppSlice& s) { return ls_features(machine_, qps_real, s); },
-      &stride);
-  models_.ls_qos->predict_batch(xs.data(), table.size(), stride, table.data());
-  counters_.ls_qos.fetch_add(table.size(), std::memory_order_relaxed);
-}
-
-void Predictor::fill_ls_power_table(double qps_real,
-                                    std::vector<double>& table) const {
-  std::size_t stride = 0;
-  const auto xs = build_feature_matrix(
-      grid_, 0,
-      [&](const AppSlice& s) { return ls_features(machine_, qps_real, s); },
-      &stride);
-  models_.ls_power->predict_batch(xs.data(), table.size(), stride,
-                                  table.data());
-  for (double& v : table) {
-    v = ValidateModelOutput(v, "ls_power", /*allow_negative=*/true);
-  }
-  counters_.ls_power.fetch_add(table.size(), std::memory_order_relaxed);
 }
 
 bool Predictor::ls_qos_ok(double qps_real, const AppSlice& slice,
                           std::uint64_t* calls) const {
   STURGEON_DCHECK(std::isfinite(qps_real) && qps_real >= 0.0,
                   "ls_qos_ok: qps = " << qps_real);
-  if (PredictionCache* cache = cache_.get()) {
-    return cache->ls_qos(qps_real, slice,
-                         [this, calls](double q, std::vector<int>& t) {
-                           fill_ls_qos_table(q, t);
-                           if (calls != nullptr) *calls += t.size();
-                         }) == 1;
-  }
   counters_.ls_qos.fetch_add(1, std::memory_order_relaxed);
   if (calls != nullptr) ++*calls;
   return models_.ls_qos->predict(ls_row(machine_, qps_real, slice)) == 1;
@@ -156,13 +149,6 @@ bool Predictor::ls_qos_ok(double qps_real, const AppSlice& slice,
 
 double Predictor::ls_power_w(double qps_real, const AppSlice& slice,
                              std::uint64_t* calls) const {
-  if (PredictionCache* cache = cache_.get()) {
-    return cache->ls_power(qps_real, slice,
-                           [this, calls](double q, std::vector<double>& t) {
-                             fill_ls_power_table(q, t);
-                             if (calls != nullptr) *calls += t.size();
-                           });
-  }
   counters_.ls_power.fetch_add(1, std::memory_order_relaxed);
   if (calls != nullptr) ++*calls;
   // A regression model may extrapolate slightly below zero at the edge of
@@ -174,19 +160,11 @@ double Predictor::ls_power_w(double qps_real, const AppSlice& slice,
 
 double Predictor::be_power_w(const AppSlice& slice) const {
   if (slice.cores == 0) return 0.0;
-  if (PredictionCache* cache = cache_.get()) {
-    return cache->be_power(
-        slice, [this](double, std::vector<double>& t) { t = be_.power; });
-  }
   return be_.power[grid_.index(slice)];
 }
 
 double Predictor::be_ipc(const AppSlice& slice) const {
   if (slice.cores == 0) return 0.0;
-  if (PredictionCache* cache = cache_.get()) {
-    return cache->be_ipc(
-        slice, [this](double, std::vector<double>& t) { t = be_.ipc; });
-  }
   return be_.ipc[grid_.index(slice)];
 }
 

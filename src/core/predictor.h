@@ -12,25 +12,73 @@
 // once over every slice of the machine (one predict_batch sweep per
 // model) and be_power_w()/be_ipc() become lock-free lookups in those
 // immutable tables. The ml layer's batch contract makes each entry
-// bit-identical to a scalar predict(); lookups invoke no model.
-//
-// With enable_cache() the predictor answers through a sharded memo layer
-// (see prediction_cache.h): an LS miss fills a dense per-load table with
-// one predict_batch sweep and later queries become array lookups; the
-// cache's BE tables are copies of the predictor's. Cached answers are
-// bit-identical to uncached ones; only LS cache *fills* count as model
-// invocations, so steady-state searches report ~0 predictions.
+// bit-identical to a scalar predict(); lookups invoke no model. Every LS
+// query runs its model once.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "core/prediction_cache.h"
 #include "core/trainer.h"
 #include "util/types.h"
 
 namespace sturgeon::core {
+
+/// Dense index over every (cores, freq_level, llc_ways) slice of a
+/// machine, each dimension including 0, so complement and degenerate
+/// slices index without special cases. The predictor's BE tables use
+/// this geometry. index() checks its argument in every build: a slice
+/// outside the machine throws std::out_of_range.
+class SliceGrid {
+ public:
+  explicit SliceGrid(const MachineSpec& machine);
+
+  std::size_t size() const { return size_; }
+
+  std::size_t index(const AppSlice& slice) const {
+    if (slice.cores < 0 || slice.cores > max_cores_ ||
+        slice.freq_level < 0 || slice.freq_level >= levels_ ||
+        slice.llc_ways < 0 || slice.llc_ways >= ways_) {
+      throw_outside(slice);
+    }
+    return static_cast<std::size_t>(
+        (slice.cores * levels_ + slice.freq_level) * ways_ + slice.llc_ways);
+  }
+
+  /// Inverse of index(); `index` must be below size().
+  AppSlice at(std::size_t index) const;
+
+ private:
+  [[noreturn]] static void throw_outside(const AppSlice& slice);
+
+  int max_cores_;
+  int levels_;  ///< P-states
+  int ways_;    ///< way counts 0..llc_ways
+  std::size_t size_;
+};
+
+/// Per-role model invocation counts (overhead accounting). A snapshot of
+/// the Predictor's live counters; a BE table fill adds its whole batch.
+struct ModelCallBreakdown {
+  std::uint64_t ls_qos = 0;
+  std::uint64_t ls_power = 0;
+  std::uint64_t be_ipc = 0;
+  std::uint64_t be_power = 0;
+
+  std::uint64_t total() const { return ls_qos + ls_power + be_ipc + be_power; }
+};
+
+/// The Predictor's live per-role invocation counters. Thread-safe: the
+/// fleet's worker threads query one shared predictor concurrently.
+struct ModelCallCounters {
+  mutable std::atomic<std::uint64_t> ls_qos{0};
+  mutable std::atomic<std::uint64_t> ls_power{0};
+  mutable std::atomic<std::uint64_t> be_ipc{0};
+  mutable std::atomic<std::uint64_t> be_power{0};
+
+  ModelCallBreakdown snapshot() const;
+};
 
 class Predictor {
  public:
@@ -38,9 +86,8 @@ class Predictor {
   Predictor(const MachineSpec& machine, TrainedModels models);
 
   /// QoS feasibility of an LS slice at real-scale load `qps_real`. A
-  /// non-null `calls` gets the model evaluations this query caused added
-  /// to it: 1 on the scalar path; with the cache, the whole batch of a
-  /// fill the query triggered, 0 on a hit.
+  /// non-null `calls` gets the one model evaluation this query runs
+  /// added to it.
   bool ls_qos_ok(double qps_real, const AppSlice& slice,
                  std::uint64_t* calls = nullptr) const;
 
@@ -68,25 +115,14 @@ class Predictor {
 
   const MachineSpec& machine() const { return machine_; }
 
-  /// Install the sharded prediction cache. Not safe against concurrent
-  /// predictions; call before sharing the predictor across threads.
-  void enable_cache(PredictionCacheConfig config = {});
-  void disable_cache();
-  bool cache_enabled() const { return cache_ != nullptr; }
-
-  /// Replace the trained models (e.g. after retraining), refill the BE
-  /// tables and invalidate any cached tables. Not safe against concurrent
-  /// predictions.
+  /// Replace the trained models (e.g. after retraining) and refill the
+  /// BE tables. Not safe against concurrent predictions.
   void swap_models(TrainedModels models);
 
-  /// Cache counters; all-zero when the cache is disabled.
-  telemetry::PredictionCacheStats cache_stats() const;
-
   /// Cumulative number of model invocations (overhead accounting).
-  /// Thread-safe: the parallel search invokes models concurrently.
-  /// Table and cache hits are array lookups, not invocations; a fill (the
-  /// BE tables' at construction and swap_models(), an LS cache fill) adds
-  /// the whole batch it swept.
+  /// Thread-safe: nodes sharing the predictor query it concurrently.
+  /// BE table lookups are not invocations; a BE table fill (at
+  /// construction and swap_models()) adds the whole batch it swept.
   std::uint64_t model_invocations() const {
     return counters_.snapshot().total();
   }
@@ -94,7 +130,6 @@ class Predictor {
   ModelCallBreakdown model_call_breakdown() const {
     return counters_.snapshot();
   }
-  void reset_invocation_count() { counters_.reset(); }
 
  private:
   struct BeTables {
@@ -110,18 +145,11 @@ class Predictor {
   /// draws no power and retires nothing).
   BeTables make_be_tables(const TrainedModels& models) const;
 
-  /// LS cache fills: one predict_batch sweep over every grid slice, with
-  /// the same feature encoding and output post-processing as the scalar
-  /// paths (bit-identity contract).
-  void fill_ls_qos_table(double qps_real, std::vector<int>& table) const;
-  void fill_ls_power_table(double qps_real, std::vector<double>& table) const;
-
   MachineSpec machine_;
   SliceGrid grid_;
   TrainedModels models_;
   ModelCallCounters counters_;
   BeTables be_;
-  std::unique_ptr<PredictionCache> cache_;
 };
 
 }  // namespace sturgeon::core

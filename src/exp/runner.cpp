@@ -53,16 +53,6 @@ RunResult run_colocation(const LsProfile& ls, const BeProfile& be,
   telemetry::Counter& changes_counter =
       registry.counter("run.partition_changes");
 
-  if (config.power_cap_w > 0.0) {
-    if (policy.supports_power_cap()) {
-      policy.set_power_cap(config.power_cap_w);
-    } else {
-      // Cap dropped on the floor by a power-oblivious policy: make the
-      // loss observable instead of silent.
-      registry.counter("policy.cap.unsupported").inc();
-    }
-  }
-
   // Everything the run learned must survive every exit path: normal end,
   // violation abort, and exceptions out of the policy or the simulator.
   const auto finalize = [&]() {

@@ -34,11 +34,6 @@ struct RunConfig {
   /// Abort the run after this many *consecutive* QoS-violating intervals
   /// (0 = never). Partial results and telemetry are still flushed.
   int abort_after_violation_s = 0;
-  /// Power cap handed to the policy before the run (0 = leave the policy's
-  /// construction-time budget alone). When the policy reports
-  /// !supports_power_cap() the cap is NOT silently dropped: the run's
-  /// "policy.cap.unsupported" counter records it.
-  double power_cap_w = 0.0;
 };
 
 struct RunResult {

@@ -5,9 +5,9 @@
 // dense row-major feature matrix. The base implementation loops over the
 // scalar predict(); families with a cheap vectorized form (linear, SVM,
 // MLP matrix-matrix, ...) override it. Overrides must stay bit-identical
-// to the scalar path -- the prediction cache (src/core/prediction_cache)
-// prefills its tables through predict_batch and the search results must
-// not depend on whether the cache is on.
+// to the scalar path -- the predictor (src/core/predictor) fills its BE
+// tables through predict_batch, and a table entry must equal the scalar
+// answer it stands in for.
 #pragma once
 
 #include <cstddef>

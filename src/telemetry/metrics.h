@@ -1,8 +1,8 @@
 // Typed metric instruments and the process-wide registry behind them.
 //
 // Every runtime counter in the system -- controller searches, balancer
-// harvests, prediction-cache hits, model invocations, per-phase latencies
-// -- reports through one of three instruments:
+// harvests, model invocations, per-phase latencies -- reports through one
+// of three instruments:
 //
 //   Counter    monotone event count; sharded relaxed atomics so the
 //              config-search hot path pays one uncontended fetch_add.

@@ -20,22 +20,6 @@ class MetricsRegistry;
 /// Negative slack means the QoS target is violated.
 double latency_slack(double p95_ms, double target_ms);
 
-/// Counters exported by the core-layer prediction cache. Defined here so
-/// telemetry (monitor, recorder) can log them without depending on core;
-/// core already links against telemetry.
-struct PredictionCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t fills = 0;       ///< dense-table batch sweeps run
-  std::uint64_t generation = 0;  ///< bumped on every invalidation
-
-  double hit_rate() const {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) / static_cast<double>(total);
-  }
-};
-
 /// Rolling view of recent samples used by controllers.
 class QosMonitor {
  public:

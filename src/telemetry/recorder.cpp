@@ -8,12 +8,6 @@ namespace sturgeon::telemetry {
 
 void TraceRecorder::record(int t_s, const sim::ServerTelemetry& sample,
                            const Partition& partition) {
-  record(t_s, sample, partition, PredictionCacheStats{});
-}
-
-void TraceRecorder::record(int t_s, const sim::ServerTelemetry& sample,
-                           const Partition& partition,
-                           const PredictionCacheStats& cache) {
   TraceRow row;
   row.t_s = t_s;
   row.load_fraction = sample.load_fraction;
@@ -22,7 +16,6 @@ void TraceRecorder::record(int t_s, const sim::ServerTelemetry& sample,
   row.power_w = sample.power_w;
   row.be_throughput_norm = sample.be_throughput_norm;
   row.partition = partition;
-  row.cache = cache;
   rows_.push_back(row);
 }
 
@@ -42,10 +35,7 @@ void TraceRecorder::write_csv(std::ostream& os) const {
         r.partition.be.cores > 0
             ? machine_.freq_at(r.partition.be.freq_level)
             : 0.0,
-        static_cast<double>(r.partition.be.llc_ways),
-        static_cast<double>(r.cache.hits),
-        static_cast<double>(r.cache.misses),
-        static_cast<double>(r.cache.fills)});
+        static_cast<double>(r.partition.be.llc_ways), 0.0, 0.0, 0.0});
   }
 }
 

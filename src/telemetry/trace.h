@@ -3,7 +3,7 @@
 // Each controller epoch opens a root "epoch" span; the phases inside it
 // (observe, decide, search, candidate_eval, balance, enforce) open child
 // spans carrying structured attributes -- the chosen <C,F,L> slices,
-// predicted vs. observed QoS/power, cache hit ratio. Spans are RAII
+// predicted vs. observed QoS/power, model calls. Spans are RAII
 // handles: they time themselves from construction to end()/destruction
 // and parent under whichever span was innermost when they started.
 //

@@ -1,9 +1,9 @@
 // Clang Thread Safety Analysis for Sturgeon's lock-bearing subsystems.
 //
 // Every mutex-protected invariant in the codebase (thread-pool queue,
-// metrics registry maps, tracer span stack, prediction-cache shards,
-// model-registry latches) is stated *in the type system* with the macros
-// below and checked at compile time by clang's -Wthread-safety analysis:
+// metrics registry maps, tracer span stack, model-registry latches) is
+// stated *in the type system* with the macros below and checked at
+// compile time by clang's -Wthread-safety analysis:
 // a field marked STURGEON_GUARDED_BY(mu) cannot be read or written
 // without mu held, a method marked STURGEON_REQUIRES(mu) cannot be
 // called without it, and the STURGEON_ANALYZE build (CMake preset

@@ -104,64 +104,31 @@ TEST(ConfigSearch, CandidatesAreAllFeasible) {
   }
 }
 
-TEST(ConfigSearch, ParallelSearchMatchesSequential) {
-  const auto pred = testing::fake_predictor(m, 1.0, 3);
-  ConfigSearch search(*pred, 130.0);
-  ThreadPool pool(4);
-  for (double qps : {4000.0, 12000.0, 20000.0, 30000.0}) {
-    const auto seq = search.search(qps);
-    const auto par = search.search_parallel(qps, pool);
-    EXPECT_EQ(seq.feasible, par.feasible) << qps;
-    EXPECT_EQ(seq.best, par.best) << qps;
-    EXPECT_DOUBLE_EQ(seq.predicted_throughput, par.predicted_throughput);
-    EXPECT_EQ(seq.candidates.size(), par.candidates.size());
-  }
-}
-
-TEST(ConfigSearch, ParallelSearchInfeasibleFallback) {
-  const auto pred = testing::fake_predictor(m, 10.0, 3);
-  ConfigSearch search(*pred, 130.0);
-  ThreadPool pool(2);
-  const auto r = search.search_parallel(30000.0, pool);
-  EXPECT_FALSE(r.feasible);
-  EXPECT_EQ(r.best, Partition::all_to_ls(m));
-}
-
 // Each search counts the model calls it causes itself, so searches racing
-// on one shared predictor report exactly what a lone search reports (the
-// TSan leg runs this with real concurrency).
+// on one shared predictor report exactly what a lone search reports. The
+// TSan leg runs this with real concurrency: the fleet's worker threads
+// share one predictor the same way.
 TEST(ConfigSearch, ConcurrentSearchesCountOwnCalls) {
   const auto pred = testing::fake_predictor(m, 1.0, 3);
   ConfigSearch search(*pred, 130.0);
-  ThreadPool pool(2);
   const double loads[2] = {6000.0, 14000.0};
   std::uint64_t lone[2] = {};
-  std::uint64_t lone_parallel[2] = {};
   for (int i = 0; i < 2; ++i) {
     lone[i] = search.search(loads[i]).model_invocations;
-    lone_parallel[i] = search.search_parallel(loads[i], pool).model_invocations;
     EXPECT_GT(lone[i], 0u);
   }
   std::uint64_t seen[2][50] = {};
-  std::uint64_t seen_parallel[2][10] = {};
   std::thread threads[2];
   for (int t = 0; t < 2; ++t) {
     threads[t] = std::thread([&, t] {
-      ThreadPool own(2);
       for (auto& calls : seen[t]) {
         calls = search.search(loads[t]).model_invocations;
-      }
-      for (auto& calls : seen_parallel[t]) {
-        calls = search.search_parallel(loads[t], own).model_invocations;
       }
     });
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < 2; ++t) {
     for (const std::uint64_t calls : seen[t]) EXPECT_EQ(calls, lone[t]);
-    for (const std::uint64_t calls : seen_parallel[t]) {
-      EXPECT_EQ(calls, lone_parallel[t]);
-    }
   }
 }
 

@@ -12,6 +12,16 @@ namespace {
 
 const MachineSpec m = MachineSpec::xeon_e5_2630_v4();
 
+TEST(SliceGrid, IndexRoundTrips) {
+  const SliceGrid grid(m);
+  EXPECT_EQ(grid.size(), static_cast<std::size_t>(m.num_cores + 1) *
+                             static_cast<std::size_t>(m.num_freq_levels()) *
+                             static_cast<std::size_t>(m.llc_ways + 1));
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(grid.index(grid.at(i)), i);
+  }
+}
+
 TEST(Predictor, RequiresAllModels) {
   TrainedModels incomplete = testing::fake_models();
   incomplete.be_power.reset();

@@ -5,9 +5,9 @@
 // oracles: the trained models evaluated directly with one scalar
 // predict() per query, and the Predictor's own per-query API
 // (ls_qos_ok / total_power_w / be_throughput). ConfigSearch::search,
-// search_parallel, exhaustive and ResourceBalancer::step must reproduce
-// both bit for bit: whatever the runtime hoists, memoizes or tabulates,
-// it may never change an answer.
+// ConfigSearch::exhaustive and ResourceBalancer::step must reproduce both
+// bit for bit: whatever the runtime hoists or tabulates, it may never
+// change an answer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +26,6 @@
 #include "fake_models.h"
 #include "sim/server.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace sturgeon::core {
 namespace {
@@ -272,16 +271,15 @@ void expect_be_grid_matches(const Predictor& predictor,
   }
 }
 
-/// The search flavors and the balancer agree with the reference over a
-/// seeded QPS x budget grid; the first `exhaustive_loads` loads of each
-/// budget also check the exhaustive sweep.
+/// The search and the balancer agree with the reference over a seeded
+/// QPS x budget grid; the first `exhaustive_loads` loads of each budget
+/// also check the exhaustive sweep.
 template <typename Oracle>
 void expect_runtime_matches(const Predictor& predictor, const Oracle& ref,
                             const std::vector<double>& budgets, double qps_lo,
                             double qps_hi, std::uint64_t seed,
                             int exhaustive_loads) {
   Rng rng(seed);
-  ThreadPool pool(3);
   int harvests = 0;
   for (double budget : budgets) {
     ConfigSearch search(predictor, budget);
@@ -292,8 +290,6 @@ void expect_runtime_matches(const Predictor& predictor, const Oracle& ref,
           std::to_string(budget);
       const SearchResult want = reference_search(ref, qps, budget);
       expect_same_search(want, search.search(qps), "search" + at);
-      expect_same_search(want, search.search_parallel(qps, pool),
-                         "search_parallel" + at);
       if (k < exhaustive_loads) {
         expect_same_search(reference_exhaustive(ref, qps, budget),
                            search.exhaustive(qps), "exhaustive" + at);
