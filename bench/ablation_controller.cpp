@@ -13,10 +13,10 @@
 
 #include "baselines/heracles.h"
 #include "bench_common.h"
+#include "cluster/node.h"
 #include "core/config_search.h"
 #include "core/controller.h"
 #include "exp/model_registry.h"
-#include "exp/runner.h"
 #include "util/table.h"
 
 using namespace sturgeon;
@@ -30,7 +30,7 @@ void ablation_alpha_beta() {
   sim::SimulatedServer probe(ls, be, 7);
   const double budget = probe.power_budget_w();
   const auto trace = bench::evaluation_trace();
-  exp::RunConfig rc;
+  cluster::RunConfig rc;
   rc.seed = bench::pair_seed(ls.name, be.name);
 
   TablePrinter table({"alpha/beta", "QoS rate", "BE throughput",
@@ -42,7 +42,7 @@ void ablation_alpha_beta() {
     opts.alpha = alpha;
     opts.beta = beta;
     core::SturgeonController ctl(predictor, ls.qos_target_ms, budget, opts);
-    const auto r = exp::run_colocation(ls, be, ctl, trace, rc);
+    const auto r = cluster::run_colocation(ls, be, ctl, trace, rc);
     table.add_row({TablePrinter::fmt(alpha, 2) + "/" +
                        TablePrinter::fmt(beta, 2),
                    TablePrinter::fmt_pct(r.qos_guarantee_rate, 2),
@@ -63,7 +63,7 @@ void ablation_balancer_granularity() {
   sim::SimulatedServer probe(ls, be, 7);
   const double budget = probe.power_budget_w();
   const auto trace = bench::evaluation_trace();
-  exp::RunConfig rc;
+  cluster::RunConfig rc;
   rc.seed = bench::pair_seed(ls.name, be.name);
 
   TablePrinter table({"initial granularity", "QoS rate", "BE throughput",
@@ -72,7 +72,7 @@ void ablation_balancer_granularity() {
     core::SturgeonOptions opts;
     opts.balancer_granularity = g;
     core::SturgeonController ctl(predictor, ls.qos_target_ms, budget, opts);
-    const auto r = exp::run_colocation(ls, be, ctl, trace, rc);
+    const auto r = cluster::run_colocation(ls, be, ctl, trace, rc);
     table.add_row({TablePrinter::fmt(g, 3),
                    TablePrinter::fmt_pct(r.qos_guarantee_rate, 2),
                    TablePrinter::fmt(r.mean_be_throughput_norm, 3),
@@ -126,16 +126,16 @@ void ablation_heracles() {
         exp::predictor_for(ls, be, bench::trainer_config());
     sim::SimulatedServer probe(ls, be, 7);
     const double budget = probe.power_budget_w();
-    exp::RunConfig rc;
+    cluster::RunConfig rc;
     rc.seed = bench::pair_seed(ls.name, be.name);
 
     core::SturgeonController sturgeon(predictor, ls.qos_target_ms, budget);
-    const auto r_st = exp::run_colocation(ls, be, sturgeon, trace, rc);
+    const auto r_st = cluster::run_colocation(ls, be, sturgeon, trace, rc);
     baselines::HeraclesOptions ho;
     ho.power_budget_w = budget;
     baselines::HeraclesController heracles(probe.machine(), ls.qos_target_ms,
                                            ho);
-    const auto r_he = exp::run_colocation(ls, be, heracles, trace, rc);
+    const auto r_he = cluster::run_colocation(ls, be, heracles, trace, rc);
 
     table.add_row({be.name + "+" + ls.name, "Sturgeon",
                    TablePrinter::fmt_pct(r_st.qos_guarantee_rate, 2),

@@ -11,9 +11,9 @@
 
 #include "baselines/parties.h"
 #include "bench_common.h"
+#include "cluster/node.h"
 #include "core/controller.h"
 #include "exp/model_registry.h"
-#include "exp/runner.h"
 #include "util/table.h"
 
 using namespace sturgeon;
@@ -27,24 +27,24 @@ int main() {
   sim::SimulatedServer probe(ls, be, 7);
   const double budget = probe.power_budget_w();
 
-  exp::RunConfig rc;
+  cluster::RunConfig rc;
   rc.seed = bench::pair_seed(ls.name, be.name);
   rc.record_trace = true;
 
   core::SturgeonController sturgeon(predictor, ls.qos_target_ms, budget);
-  const auto r_st = exp::run_colocation(ls, be, sturgeon, trace, rc);
+  const auto r_st = cluster::run_colocation(ls, be, sturgeon, trace, rc);
 
   baselines::PartiesOptions po;
   po.power_budget_w = budget;
   baselines::PartiesController parties(probe.machine(), ls.qos_target_ms, po);
-  const auto r_pa = exp::run_colocation(ls, be, parties, trace, rc);
+  const auto r_pa = cluster::run_colocation(ls, be, parties, trace, rc);
 
   const int stride = trace.duration_s() / 20;
   std::cout << "Fig 11: memcached + raytrace, load ramp 20% -> 50% of peak\n";
   std::cout << "\n--- Sturgeon ---\n";
-  r_st.trace->write_summary(std::cout, stride);
+  r_st.telemetry->recorder().write_summary(std::cout, stride);
   std::cout << "\n--- PARTIES (power-enhanced) ---\n";
-  r_pa.trace->write_summary(std::cout, stride);
+  r_pa.telemetry->recorder().write_summary(std::cout, stride);
 
   std::cout << "\nrun means: Sturgeon BE throughput "
             << TablePrinter::fmt(r_st.mean_be_throughput_norm, 3)

@@ -16,9 +16,9 @@
 
 #include "baselines/parties.h"
 #include "bench_common.h"
+#include "cluster/node.h"
 #include "core/controller.h"
 #include "exp/model_registry.h"
-#include "exp/runner.h"
 #include "util/table.h"
 
 using namespace sturgeon;
@@ -40,23 +40,23 @@ int main() {
       const auto predictor = exp::predictor_for(ls, be, trainer_cfg);
       sim::SimulatedServer probe(ls, be, 7);
       const double budget = probe.power_budget_w();
-      exp::RunConfig rc;
+      cluster::RunConfig rc;
       rc.seed = bench::pair_seed(ls.name, be.name);
 
       core::SturgeonController sturgeon(predictor, ls.qos_target_ms, budget);
-      const auto r_st = exp::run_colocation(ls, be, sturgeon, trace, rc);
+      const auto r_st = cluster::run_colocation(ls, be, sturgeon, trace, rc);
 
       core::SturgeonOptions nob_opts;
       nob_opts.enable_balancer = false;
       core::SturgeonController nob(predictor, ls.qos_target_ms, budget,
                                    nob_opts);
-      const auto r_nob = exp::run_colocation(ls, be, nob, trace, rc);
+      const auto r_nob = cluster::run_colocation(ls, be, nob, trace, rc);
 
       baselines::PartiesOptions po;
       po.power_budget_w = budget;
       baselines::PartiesController parties(probe.machine(), ls.qos_target_ms,
                                            po);
-      const auto r_pa = exp::run_colocation(ls, be, parties, trace, rc);
+      const auto r_pa = cluster::run_colocation(ls, be, parties, trace, rc);
 
       const std::string pair = be.name + " under " + ls.name;
       fig9.add_row({pair, TablePrinter::fmt_pct(r_st.qos_guarantee_rate, 2),

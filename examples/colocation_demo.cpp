@@ -15,9 +15,9 @@
 
 #include "baselines/heracles.h"
 #include "baselines/parties.h"
+#include "cluster/node.h"
 #include "core/controller.h"
 #include "exp/model_registry.h"
-#include "exp/runner.h"
 #include "util/table.h"
 
 using namespace sturgeon;
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   sim::SimulatedServer probe(ls, be, 7);
   const double budget = probe.power_budget_w();
 
-  exp::RunConfig rc;
+  cluster::RunConfig rc;
   rc.seed = 2024;
   rc.record_trace = !csv_path.empty();
 
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
                       "max P/budget"});
   const auto report = [&](core::Policy& policy) {
     std::cout << "  " << policy.describe() << "\n";
-    const auto r = exp::run_colocation(ls, be, policy, trace, rc);
+    const auto r = cluster::run_colocation(ls, be, policy, trace, rc);
     table.add_row({policy.name(),
                    TablePrinter::fmt_pct(r.qos_guarantee_rate, 2),
                    TablePrinter::fmt(r.mean_be_throughput_norm, 3),
@@ -94,13 +94,13 @@ int main(int argc, char** argv) {
             << " ms p95\n\n";
   table.print(std::cout);
 
-  if (!csv_path.empty() && r_sturgeon.trace) {
+  if (!csv_path.empty()) {
     std::ofstream out(csv_path);
     if (!out) {
       std::cerr << "cannot open " << csv_path << "\n";
       return 1;
     }
-    r_sturgeon.trace->write_csv(out);
+    r_sturgeon.telemetry->recorder().write_csv(out);
     std::cout << "\nSturgeon per-second trace written to " << csv_path
               << "\n";
   }

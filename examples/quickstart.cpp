@@ -10,10 +10,10 @@
 #include <iostream>
 #include <memory>
 
+#include "cluster/node.h"
 #include "core/controller.h"
 #include "core/predictor.h"
 #include "core/trainer.h"
-#include "exp/runner.h"
 
 int main() {
   using namespace sturgeon;
@@ -45,9 +45,9 @@ int main() {
   core::SturgeonController sturgeon(predictor, ls.qos_target_ms, budget);
   std::cout << "Policy: " << sturgeon.describe() << "\n";
   const auto trace = LoadTrace::ramp_up_down(0.2, 0.8, 180);
-  exp::RunConfig run_cfg;
+  cluster::RunConfig run_cfg;
   run_cfg.seed = 1;
-  const auto result = exp::run_colocation(ls, be, sturgeon, trace, run_cfg);
+  const auto result = cluster::run_colocation(ls, be, sturgeon, trace, run_cfg);
 
   // 4. Summary.
   std::cout << "\nAfter " << trace.duration_s() << " s of fluctuating load:\n"

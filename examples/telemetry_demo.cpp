@@ -11,11 +11,11 @@
 #include <iostream>
 #include <memory>
 
+#include "cluster/node.h"
 #include "core/controller.h"
 #include "core/predictor.h"
 #include "core/trainer.h"
 #include "exp/model_registry.h"
-#include "exp/runner.h"
 #include "telemetry/context.h"
 
 int main(int argc, char** argv) {
@@ -43,23 +43,23 @@ int main(int argc, char** argv) {
   core::SturgeonController sturgeon(predictor, ls.qos_target_ms, budget);
 
   // One live context for the whole experiment: tracing + CSV rows on,
-  // file sinks written by the runner's flush on every exit path.
+  // file sinks written by run_colocation's flush on every exit path.
   telemetry::TelemetryConfig tc;
   tc.tracing = true;
   tc.csv = true;
   tc.trace_jsonl_path = jsonl_path;
   tc.csv_path = csv_path;
-  exp::RunConfig run_cfg;
+  cluster::RunConfig run_cfg;
   run_cfg.seed = 1;
   run_cfg.telemetry = telemetry::TelemetryContext::make(probe.machine(), tc);
 
   const auto trace = LoadTrace::ramp_up_down(0.2, 0.8, 60);
-  const auto result = exp::run_colocation(ls, be, sturgeon, trace, run_cfg);
+  const auto result = cluster::run_colocation(ls, be, sturgeon, trace, run_cfg);
 
   std::cout << "policy: " << sturgeon.describe() << "\n"
             << "last action: " << sturgeon.last_decision().action_string() << " (epoch "
             << sturgeon.last_decision().epoch << ")\n"
-            << "intervals run: " << result.intervals_run << "\n"
+            << "intervals run: " << result.epochs << "\n"
             << "QoS guarantee rate: " << 100.0 * result.qos_guarantee_rate
             << " %\n"
             << "spans recorded: "

@@ -75,7 +75,7 @@ struct ClusterConfig {
   comms::CommsConfig comms;
 };
 
-/// Fleet-level outcome, the cluster analogue of exp::RunResult.
+/// Fleet-level outcome, rolled up over every node's NodeResult.
 struct ClusterResult {
   /// Query-weighted QoS guarantee rate over every LS query the fleet
   /// completed: sum(completed - violations) / sum(completed).

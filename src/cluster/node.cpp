@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <utility>
 
-#include "baselines/parties.h"
-#include "baselines/static_policy.h"
 #include "core/controller.h"
 #include "exp/model_registry.h"
 #include "telemetry/metrics.h"
@@ -18,33 +15,11 @@ namespace sturgeon::cluster {
 
 namespace {
 
-std::unique_ptr<core::Policy> default_policy(
+std::shared_ptr<core::Policy> default_policy(
     const NodeSpec& spec, const sim::SimulatedServer& server) {
-  const MachineSpec& m = server.machine();
-  switch (spec.policy) {
-    case PolicyKind::kSturgeon: {
-      const auto predictor =
-          exp::predictor_for(spec.ls, spec.be, spec.trainer);
-      return std::make_unique<core::SturgeonController>(
-          predictor, spec.ls.qos_target_ms, server.power_budget_w());
-    }
-    case PolicyKind::kParties: {
-      baselines::PartiesOptions options;
-      options.power_budget_w = server.power_budget_w();
-      return std::make_unique<baselines::PartiesController>(
-          m, spec.ls.qos_target_ms, options);
-    }
-    case PolicyKind::kStatic: {
-      // Canonical 60/40 split, BE at a mid P-state: the "no management"
-      // configuration an operator might hand-pick.
-      Partition p;
-      p.ls = {std::max(1, m.num_cores * 3 / 5), m.max_freq_level(),
-              std::max(1, m.llc_ways * 3 / 5)};
-      p.be = Allocation::complement(m, p.ls, m.max_freq_level() / 2);
-      return std::make_unique<baselines::StaticPolicy>(p);
-    }
-  }
-  throw std::invalid_argument("ClusterNode: unknown policy kind");
+  return std::make_shared<core::SturgeonController>(
+      exp::predictor_for(spec.ls, spec.be, spec.trainer),
+      spec.ls.qos_target_ms, server.power_budget_w());
 }
 
 std::unique_ptr<fault::FaultInjector> make_injector(
@@ -55,15 +30,6 @@ std::unique_ptr<fault::FaultInjector> make_injector(
 }
 
 }  // namespace
-
-const char* to_string(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kSturgeon: return "sturgeon";
-    case PolicyKind::kParties: return "parties";
-    case PolicyKind::kStatic: return "static";
-  }
-  return "unknown";
-}
 
 ClusterNode::ClusterNode(int id, NodeSpec spec, std::uint64_t seed,
                          std::shared_ptr<telemetry::TelemetryContext> telemetry,
@@ -216,7 +182,6 @@ void ClusterNode::step_hung(int t) {
   ++epochs_run_;
   ++epochs_hung_;
   cap_w_sum_ += cap_w_;
-  max_power_ratio_ = std::max(max_power_ratio_, sample.power_w / budget_w_);
   degraded_gauge_->set(1.0);
 }
 
@@ -382,7 +347,6 @@ void ClusterNode::step(int t) {
   ++epochs_run_;
   last_step_epoch_ = t;
   cap_w_sum_ += cap_w_;
-  max_power_ratio_ = std::max(max_power_ratio_, sample.power_w / budget_w_);
   report_ = NodeReport{budget_w_, idle_w_,
                        cap_w_,    observed.power_w,
                        slack,     observed.qos_met(),
@@ -419,7 +383,8 @@ NodeResult ClusterNode::result() const {
   r.mean_cap_w = epochs_run_ > 0
                      ? cap_w_sum_ / static_cast<double>(epochs_run_)
                      : cap_w_;
-  r.max_power_ratio = max_power_ratio_;
+  r.max_power_ratio = metrics_.max_power_ratio();
+  r.power_overshoot_fraction = metrics_.power_overshoot_fraction();
   r.throttled_epochs = throttled_epochs_;
   r.epochs_down = epochs_down_;
   r.epochs_hung = epochs_hung_;
@@ -438,6 +403,46 @@ NodeResult ClusterNode::result() const {
   r.actuator_gave_up = retry_.stats().gave_up;
   r.telemetry = telemetry_;
   return r;
+}
+
+NodeResult run_colocation(const LsProfile& ls, const BeProfile& be,
+                          core::Policy& policy, const LoadTrace& trace,
+                          const RunConfig& config) {
+  NodeSpec spec;
+  spec.ls = ls;
+  spec.be = be;
+  spec.trace = trace;
+  spec.server = config.server;
+  // The caller owns the policy and reads it after the run: hand the node
+  // an aliasing shared_ptr with no control block, which never deletes.
+  spec.make_policy = [&policy](const sim::SimulatedServer&) {
+    return std::shared_ptr<core::Policy>(std::shared_ptr<core::Policy>(),
+                                         &policy);
+  };
+  std::shared_ptr<telemetry::TelemetryContext> ctx = config.telemetry;
+  if (!ctx) {
+    telemetry::TelemetryConfig tc;
+    tc.csv = config.record_trace;
+    ctx = telemetry::TelemetryContext::make(config.server.machine, tc);
+  }
+  GovernorConfig governor;
+  governor.enabled = false;  // uncapped: the policy alone keeps the budget
+  ClusterNode node(0, std::move(spec), config.seed, ctx, governor);
+
+  // Everything the run learned must survive every exit path: the normal
+  // end and exceptions out of the policy or the simulator.
+  const auto finalize = [&] {
+    node.metrics().publish(ctx->metrics());
+    ctx->flush();
+  };
+  try {
+    for (int t = 0; t < trace.duration_s(); ++t) node.step(t);
+  } catch (...) {
+    finalize();
+    throw;
+  }
+  finalize();
+  return node.result();
 }
 
 }  // namespace sturgeon::cluster

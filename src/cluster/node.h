@@ -1,7 +1,7 @@
-// One node of the co-location fleet: the per-node runtime that
-// exp::run_colocation drives for a single machine, re-packaged as a
-// steppable object so the fleet engine (fleet::FleetSim) can advance N
-// of them per epoch.
+// The per-node runtime: one machine's observe/decide/enforce loop as a
+// steppable object. run_colocation (below) steps one uncapped node over
+// a load trace for every paper figure; the fleet engine
+// (fleet::FleetSim) advances N of them per epoch.
 // Each node owns its SimulatedServer, isolation stack (SimBackend +
 // ResourceEnforcer), policy, telemetry context, and metrics accumulator;
 // nothing is shared between nodes except immutable trained models, which
@@ -49,24 +49,21 @@
 
 namespace sturgeon::cluster {
 
-enum class PolicyKind { kSturgeon, kParties, kStatic };
-
-const char* to_string(PolicyKind kind);
-
 /// Everything needed to instantiate one node of the fleet.
 struct NodeSpec {
   LsProfile ls;
   BeProfile be;
   LoadTrace trace = LoadTrace::constant(0.5, 1);
   sim::ServerConfig server;  ///< heterogeneous machines/coefficients OK
-  PolicyKind policy = PolicyKind::kSturgeon;
-  /// Profiling campaign for Sturgeon nodes (must match across the fleet:
-  /// one campaign per process, see exp/model_registry.h).
+  /// Profiling campaign for the default Sturgeon policy (must match
+  /// across the fleet: one campaign per process, see
+  /// exp/model_registry.h).
   core::TrainerConfig trainer;
-  /// Overrides `policy` when set (tests inject fake-model controllers).
-  /// Receives the node's server so the factory can read the machine spec
-  /// and natural power budget.
-  std::function<std::unique_ptr<core::Policy>(const sim::SimulatedServer&)>
+  /// The node's policy; unset = Sturgeon on the campaign's trained
+  /// models. Receives the node's server so the factory can read the
+  /// machine spec and natural power budget. Shared, so a caller can keep
+  /// owning the policy (run_colocation does).
+  std::function<std::shared_ptr<core::Policy>(const sim::SimulatedServer&)>
       make_policy;
 };
 
@@ -98,7 +95,8 @@ struct ResilienceConfig {
   HeartbeatConfig heartbeat;
 };
 
-/// Per-node outcome, the cluster analogue of exp::RunResult.
+/// Per-node outcome: what run_colocation returns, and what the fleet
+/// roll-up aggregates over every node.
 struct NodeResult {
   int node = 0;
   std::string policy;  ///< policy describe() string
@@ -113,6 +111,8 @@ struct NodeResult {
   double budget_w = 0.0;    ///< node natural budget
   double mean_cap_w = 0.0;  ///< average coordinator cap over the run
   double max_power_ratio = 0.0;  ///< max measured power / natural budget
+  /// Fraction of epochs whose measured power exceeded the natural budget.
+  double power_overshoot_fraction = 0.0;
   /// Epochs the governor spent throttling below the policy's choice.
   int throttled_epochs = 0;
   // -- fault/recovery accounting (all zero in fault-free runs) --------
@@ -207,6 +207,8 @@ class ClusterNode {
   const LoadTrace& trace() const { return spec_.trace; }
   const sim::SimulatedServer& server() const { return server_; }
   core::Policy& policy() { return *policy_; }
+  /// Ground-truth run metrics over every served epoch (hung ones too).
+  const telemetry::RunMetrics& metrics() const { return metrics_; }
 
  private:
   /// Apply the governor's current throttle to `p` (BE frequency first,
@@ -243,7 +245,7 @@ class ClusterNode {
   /// Last partition handed to the policy (all-to-LS at start): what the
   /// policy sees when the enforcer's current() is not enforceable.
   Partition policy_partition_;
-  std::unique_ptr<core::Policy> policy_;
+  std::shared_ptr<core::Policy> policy_;
   std::shared_ptr<telemetry::TelemetryContext> telemetry_;
   telemetry::RunMetrics metrics_;
   GovernorConfig governor_;
@@ -261,7 +263,6 @@ class ClusterNode {
   int safe_mode_epochs_ = 0;
   int last_step_epoch_ = -1;
   double cap_w_sum_ = 0.0;
-  double max_power_ratio_ = 0.0;
   NodeReport report_;
 
   telemetry::Histogram* p95_hist_ = nullptr;
@@ -280,5 +281,25 @@ class ClusterNode {
   telemetry::Gauge* degraded_gauge_ = nullptr;
   telemetry::Gauge* power_cap_gauge_ = nullptr;  ///< bound on first re-cap
 };
+
+struct RunConfig {
+  std::uint64_t seed = 1;
+  sim::ServerConfig server;
+  bool record_trace = false;
+  /// Telemetry sink for the run. Null = a fresh private context (metrics
+  /// always on; per-interval CSV rows follow record_trace). A context
+  /// passed in records rows per its own csv flag.
+  std::shared_ptr<telemetry::TelemetryContext> telemetry;
+};
+
+/// Run `policy` over `trace` for one LS/BE pair: one ClusterNode with
+/// no cap, no governor and no faults, stepped once per trace second.
+/// The policy stays the caller's and is reset() before the run. The
+/// node's run metrics publish as "run.*" gauges and the context is
+/// flushed on every exit path, so a throwing run still leaves valid CSV
+/// and JSONL output. Deterministic for a given (seed, trace, policy).
+NodeResult run_colocation(const LsProfile& ls, const BeProfile& be,
+                          core::Policy& policy, const LoadTrace& trace,
+                          const RunConfig& config = {});
 
 }  // namespace sturgeon::cluster

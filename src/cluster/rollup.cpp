@@ -86,7 +86,7 @@ ClusterBuild build_cluster(std::vector<NodeSpec> specs,
   std::vector<std::pair<const LsProfile*, const BeProfile*>> to_warm;
   const core::TrainerConfig* trainer = nullptr;
   for (const auto& spec : specs) {
-    if (spec.policy == PolicyKind::kSturgeon && !spec.make_policy) {
+    if (!spec.make_policy) {
       to_warm.emplace_back(&spec.ls, &spec.be);
       trainer = &spec.trainer;
     }

@@ -101,8 +101,8 @@ class Policy {
   const PolicyDecision& last_decision() const { return last_decision_; }
 
   /// Whether set_power_cap() actually retargets this policy. Callers that
-  /// distribute caps (exp::Runner, cluster::ClusterNode) consult this to
-  /// count dropped caps instead of silently losing them.
+  /// distribute caps (cluster::ClusterNode) consult this to count dropped
+  /// caps instead of silently losing them.
   virtual bool supports_power_cap() const { return false; }
 
   /// Update the power budget (watts) this policy must keep the node
@@ -113,9 +113,9 @@ class Policy {
   /// Static). Takes effect from the next decide().
   virtual void set_power_cap(double /*watts*/) {}
 
-  /// Route this policy's instruments/spans through `context` (the
-  /// experiment runner calls this before reset()). Null restores the
-  /// built-in no-op sink.
+  /// Route this policy's instruments/spans through `context` (the node
+  /// runtime calls this before reset()). Null restores the built-in
+  /// no-op sink.
   void attach_telemetry(std::shared_ptr<telemetry::TelemetryContext> context);
 
   telemetry::TelemetryContext& telemetry() const { return *telemetry_; }

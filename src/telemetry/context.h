@@ -2,8 +2,8 @@
 //
 // TelemetryContext bundles the metrics registry, the span tracer, and
 // the per-interval CSV recorder so callers stop hand-assembling Monitor
-// + Recorder pairs: the experiment runner wires a single context through
-// the policy, the controller internals, and the exporters, and every
+// + Recorder pairs: the node runtime wires a single context through the
+// policy, the controller internals, and the exporters, and every
 // layer reports through the same interface (identical schemas across
 // Sturgeon and the baselines).
 //

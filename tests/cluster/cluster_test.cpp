@@ -4,6 +4,7 @@
 // so results are bit-identical across worker thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "../core/fake_models.h"
+#include "baselines/static_policy.h"
 #include "cluster/export.h"
 #include "core/controller.h"
 #include "fleet/fleet.h"
@@ -193,7 +195,16 @@ TEST(ClusterSim, GovernorEnforcesTightCapOnStaticPolicy) {
     spec.ls = find_ls("memcached");
     spec.be = be_catalog()[0];
     spec.trace = LoadTrace::constant(0.6, 40);
-    spec.policy = PolicyKind::kStatic;
+    spec.make_policy = [](const sim::SimulatedServer& server) {
+      // Canonical 60/40 split, BE at a mid P-state: the "no management"
+      // configuration an operator might hand-pick.
+      const MachineSpec& m = server.machine();
+      Partition p;
+      p.ls = {std::max(1, m.num_cores * 3 / 5), m.max_freq_level(),
+              std::max(1, m.llc_ways * 3 / 5)};
+      p.be = Allocation::complement(m, p.ls, m.max_freq_level() / 2);
+      return std::make_unique<baselines::StaticPolicy>(p);
+    };
     specs.push_back(std::move(spec));
     return specs;
   };

@@ -1,7 +1,8 @@
 // End-to-end observability contract: a full controller run produces a
 // span trace whose per-phase counts reconcile with the registry's
-// histograms, early-aborted runs still flush valid telemetry, and every
-// policy answers the uniform describe()/last_decision() interface.
+// histograms, a run ended by a throwing policy still flushes valid
+// telemetry, and every policy answers the uniform describe()/
+// last_decision() interface.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,18 +11,22 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "baselines/heracles.h"
 #include "baselines/parties.h"
 #include "baselines/static_policy.h"
+#include "cluster/node.h"
 #include "core/controller.h"
 #include "exp/model_registry.h"
-#include "exp/runner.h"
 
 namespace sturgeon::exp {
 namespace {
+
+using cluster::run_colocation;
+using cluster::RunConfig;
 
 core::TrainerConfig small_config() {
   core::TrainerConfig cfg;
@@ -48,7 +53,7 @@ TEST(TelemetryE2E, SturgeonEpochSpansReconcileWithHistograms) {
   const int duration_s = 30;
   const auto r = run_colocation(ls, be, sturgeon, LoadTrace::constant(0.4,
                                 duration_s), rc);
-  ASSERT_EQ(r.intervals_run, duration_s);
+  ASSERT_EQ(r.epochs, duration_s);
   ASSERT_TRUE(r.telemetry);
 
   const auto& spans = r.telemetry->tracer().finished();
@@ -124,15 +129,30 @@ TEST(TelemetryE2E, SturgeonEpochSpansReconcileWithHistograms) {
       static_cast<std::uint64_t>(duration_s));
 }
 
+/// Holds a fixed partition until its 5th decision, which throws: a
+/// policy failure that ends the run mid-trace.
+class ThrowingPolicy : public baselines::StaticPolicy {
+ public:
+  using baselines::StaticPolicy::StaticPolicy;
+  using core::Policy::decide;
+  Partition decide(const sim::ServerTelemetry& sample,
+                   const Partition& current) override {
+    if (++decisions_ == 5) throw std::runtime_error("policy failed");
+    return baselines::StaticPolicy::decide(sample, current);
+  }
+
+ private:
+  int decisions_ = 0;
+};
+
 TEST(TelemetryE2E, EarlyAbortStillFlushesValidTelemetry) {
   const auto& ls = find_ls("memcached");
   const auto& be = find_be("bs");
   const MachineSpec m = MachineSpec::xeon_e5_2630_v4();
-  // Starve the LS service so every interval violates QoS.
   Partition p;
-  p.ls = {1, 0, 1};
-  p.be = Allocation::complement(m, p.ls, m.max_freq_level());
-  baselines::StaticPolicy policy(p, "Starved");
+  p.ls = {8, m.max_freq_level(), 10};
+  p.be = Allocation::complement(m, p.ls, 4);
+  ThrowingPolicy policy(p, "Throwing");
 
   const std::string jsonl = ::testing::TempDir() + "abort_trace.jsonl";
   const std::string csv = ::testing::TempDir() + "abort_trace.csv";
@@ -141,19 +161,16 @@ TEST(TelemetryE2E, EarlyAbortStillFlushesValidTelemetry) {
   tc.csv = true;
   tc.trace_jsonl_path = jsonl;
   tc.csv_path = csv;
+  const auto ctx = telemetry::TelemetryContext::make(m, tc);
   RunConfig rc;
-  rc.telemetry = telemetry::TelemetryContext::make(m, tc);
-  rc.abort_after_violation_s = 3;
-  const auto r =
-      run_colocation(ls, be, policy, LoadTrace::constant(0.9, 120), rc);
+  rc.telemetry = ctx;
+  EXPECT_THROW(
+      run_colocation(ls, be, policy, LoadTrace::constant(0.9, 120), rc),
+      std::runtime_error);
 
-  EXPECT_TRUE(r.aborted);
-  EXPECT_LT(r.intervals_run, 120);
-  EXPECT_GE(r.intervals_run, 3);
-  // The partial run still produced complete, parseable sinks.
-  ASSERT_TRUE(r.trace);
-  EXPECT_EQ(r.trace->rows().size(),
-            static_cast<std::size_t>(r.intervals_run));
+  // The partial run still produced complete, parseable sinks: one row
+  // per observed interval, the 5th included.
+  EXPECT_EQ(ctx->recorder().rows().size(), 5u);
   std::ifstream jf(jsonl);
   ASSERT_TRUE(jf.good());
   std::string line, last;
@@ -168,9 +185,11 @@ TEST(TelemetryE2E, EarlyAbortStillFlushesValidTelemetry) {
   ASSERT_TRUE(cf.good());
   std::getline(cf, line);
   EXPECT_EQ(line.rfind("t_s,", 0), 0u);
-  // Metrics were published despite the abort.
-  EXPECT_EQ(r.telemetry->metrics().gauge("run.intervals").value(),
-            static_cast<double>(r.intervals_run));
+  int csv_rows = 0;
+  while (std::getline(cf, line)) ++csv_rows;
+  EXPECT_EQ(csv_rows, 5);
+  // Metrics were published despite the failure.
+  EXPECT_EQ(ctx->metrics().gauge("run.intervals").value(), 5.0);
   std::remove(jsonl.c_str());
   std::remove(csv.c_str());
 }
@@ -212,7 +231,7 @@ TEST(TelemetryE2E, AllPoliciesImplementDescribeAndLastDecision) {
     const int duration_s = 10;
     const auto r = run_colocation(ls, be, *policy,
                                   LoadTrace::constant(0.3, duration_s), rc);
-    EXPECT_EQ(r.intervals_run, duration_s);
+    EXPECT_EQ(r.epochs, duration_s);
     EXPECT_EQ(policy->last_decision().epoch,
               static_cast<std::uint64_t>(duration_s));
     EXPECT_NE(policy->last_decision().action, core::Action::kNone);
