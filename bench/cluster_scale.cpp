@@ -158,7 +158,9 @@ int main() {
   const auto& equal = results[0];
   const auto& harvest = results[2];
 
-  const double tolerance = cluster::ClusterConfig{}.power_tolerance;
+  // One epoch's fleet power may exceed the budget by this fraction
+  // (reactive governors lag by one interval).
+  const double tolerance = 0.05;
   expect(harvest.max_cluster_power_ratio <= 1.0 + tolerance,
          "slack-harvest stays within budget * (1 + " +
              TablePrinter::fmt(tolerance, 2) + ")");

@@ -2,7 +2,10 @@
 // enough to leave the control loop's numbers intact.
 //
 //   - counter add / gauge set / histogram observe: the per-event registry
-//     cost (sharded relaxed atomics; no locks after creation);
+//     cost (relaxed atomics; no locks after creation). BM_CounterAdd's
+//     4- and 8-thread rows make the threads contend on one counter,
+//     which no runtime counter sees: every registry has one writer at a
+//     time;
 //   - span open+close, against a disabled tracer (the default for every
 //     policy) and an enabled one;
 //   - BM_SturgeonSearchTraced vs the untraced twin from

@@ -33,7 +33,6 @@
 
 #include "cluster/coordinator.h"
 #include "cluster/node.h"
-#include "cluster/placement.h"
 #include "comms/fabric.h"
 
 namespace sturgeon::cluster {
@@ -46,14 +45,8 @@ struct ClusterConfig {
   /// budget simultaneously.
   double power_budget_w = 0.0;
   double oversubscription = 0.90;
-  /// Per-node tolerance on cap overshoot: one epoch's measured power may
-  /// exceed the cap by this fraction before the run counts it against
-  /// the coordinator (reactive governors lag by one interval).
-  double power_tolerance = 0.05;
   CoordinatorKind coordinator = CoordinatorKind::kSlackHarvest;
   CoordinatorConfig coordinator_config;
-  /// How workloads (LS/BE pair + trace + policy) map onto machines.
-  PlacementKind placement = PlacementKind::kRoundRobin;
   GovernorConfig governor;
   /// Worker threads for the parallel node step; 0 = hardware concurrency.
   std::size_t threads = 0;

@@ -15,6 +15,12 @@ namespace sturgeon::cluster {
 
 namespace {
 
+/// A measured power above cap * (1 + tolerance) counts as a cap
+/// overshoot for the watchdog. The slack absorbs the governor's
+/// one-epoch reaction lag so a single hot epoch under a freshly lowered
+/// cap is not "bad".
+constexpr double kWatchdogCapOvershootTolerance = 0.10;
+
 std::shared_ptr<core::Policy> default_policy(
     const NodeSpec& spec, const sim::SimulatedServer& server) {
   return std::make_shared<core::SturgeonController>(
@@ -45,8 +51,7 @@ ClusterNode::ClusterNode(int id, NodeSpec spec, std::uint64_t seed,
       faulty_cat_(backend_.cat(), injector_.get()),
       faulty_freq_(backend_.freq(), injector_.get()),
       enforcer_(server_.machine(), faulty_cpuset_, faulty_cat_, faulty_freq_),
-      retry_(enforcer_, resilience_.retry,
-             derive_seed(seed, fault::kRetryJitterStream)),
+      retry_(enforcer_, resilience_.retry),
       watchdog_(resilience_.watchdog),
       safe_partition_(Partition::all_to_ls(server_.machine())),
       policy_partition_(safe_partition_),
@@ -268,8 +273,7 @@ void ClusterNode::step(int t) {
   if (resilience_.watchdog.enabled) {
     const bool qos_violation = !observed.qos_met();
     const bool cap_overshoot =
-        observed.power_w >
-        cap_w_ * (1.0 + resilience_.watchdog.cap_overshoot_tolerance);
+        observed.power_w > cap_w_ * (1.0 + kWatchdogCapOvershootTolerance);
     safe_mode = watchdog_.observe(qos_violation, cap_overshoot);
     if (safe_mode) {
       ++safe_mode_epochs_;

@@ -276,7 +276,7 @@ class ClusterNode {
   telemetry::Counter* cap_unsupported_counter_ = nullptr;
   /// fault.actuator.partition_substitutions: decides that got
   /// policy_partition_ in place of an unenforceable current(). Bound on
-  /// first use: a counter is 1 KB, and most nodes never substitute.
+  /// first use, so a node that never substitutes registers no counter.
   telemetry::Counter* substitutions_counter_ = nullptr;
   telemetry::Gauge* degraded_gauge_ = nullptr;
   telemetry::Gauge* power_cap_gauge_ = nullptr;  ///< bound on first re-cap

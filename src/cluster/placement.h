@@ -1,47 +1,10 @@
-// Placement: which (LS service, BE application) pair runs on which node.
-//
-// The fleet is a fixed set of machines (possibly heterogeneous power
-// coefficients / budgets) and the work is one co-location pair plus its
-// load trace per node. The scheduler decides the pairing from each
-// workload's *predicted* power appetite and each node's capacity:
-//
-//   round-robin   workload i -> node i (the oblivious baseline);
-//   bin-pack      heaviest workload onto the biggest node (sorted
-//                 matching -- with one pair per node, first-fit
-//                 decreasing degenerates to rank pairing);
-//   worst-fit     each workload, in arrival order, takes the free node
-//                 with the most leftover capacity, spreading headroom
-//                 evenly (the baseline CuttleSys-style schedulers use).
-//
-// All strategies are deterministic; ties break toward the lower node id.
+// Placement vocabulary: how a scheduler picks a node for a workload.
+// fleet::SlotPlacer (fleet/placer.h) places churn jobs with it and
+// documents what each kind does.
 #pragma once
-
-#include <cstddef>
-#include <vector>
-
-#include "sim/server.h"
-#include "workloads/app_profile.h"
 
 namespace sturgeon::cluster {
 
 enum class PlacementKind { kRoundRobin, kBinPack, kWorstFit };
-
-const char* to_string(PlacementKind kind);
-
-/// Predicted package power (W) of co-locating `ls` + `be` on a `server`
-/// machine: both slices busy on an even split at top frequency. This is
-/// the *appetite* a scheduler would read off the pair's profiles before
-/// placing it -- deliberately model-free so placement never needs a
-/// trained predictor.
-double estimate_pair_power_w(const LsProfile& ls, const BeProfile& be,
-                             const sim::ServerConfig& server);
-
-/// assignment[node] = index into the workload list. `demand_w` is the
-/// per-workload predicted power, `capacity_w` the per-node power budget;
-/// the two must be the same length (one pair per node). Throws on
-/// mismatched or empty inputs.
-std::vector<std::size_t> place(PlacementKind kind,
-                               const std::vector<double>& demand_w,
-                               const std::vector<double>& capacity_w);
 
 }  // namespace sturgeon::cluster

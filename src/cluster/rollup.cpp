@@ -12,13 +12,6 @@ namespace sturgeon::cluster {
 
 namespace {
 
-/// Machine power capacity proxy for placement: the whole package busy at
-/// top frequency with unit activity. Machine-only (no workload term), so
-/// heterogeneous fleets rank by hardware size.
-double machine_capacity_w(const sim::ServerConfig& server) {
-  return sim::PowerModel(server.machine, server.power).max_package_power_w();
-}
-
 /// p95 of a sample of episode lengths (0 for an empty sample).
 double p95_epochs(std::vector<int> samples) {
   if (samples.empty()) return 0.0;
@@ -71,16 +64,6 @@ ClusterBuild build_cluster(std::vector<NodeSpec> specs,
           ? config.telemetry
           : telemetry::TelemetryContext::make(specs[0].server.machine);
 
-  // Placement: map workload w (pair + trace + policy) onto machine i.
-  std::vector<double> demand(n), capacity(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    demand[i] = estimate_pair_power_w(specs[i].ls, specs[i].be,
-                                      specs[i].server);
-    capacity[i] = machine_capacity_w(specs[i].server);
-  }
-  const std::vector<std::size_t> assignment =
-      place(config.placement, demand, capacity);
-
   // Warm every distinct Sturgeon model before any node constructs its
   // policy: parallel across distinct services, train-once per service.
   std::vector<std::pair<const LsProfile*, const BeProfile*>> to_warm;
@@ -98,8 +81,7 @@ ClusterBuild build_cluster(std::vector<NodeSpec> specs,
   build.nodes.reserve(n);
   double budget_sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    NodeSpec spec = specs[assignment[i]];
-    spec.server = specs[i].server;  // workload moves, the machine stays
+    NodeSpec spec = std::move(specs[i]);
     build.max_trace_s = std::max(build.max_trace_s, spec.trace.duration_s());
     auto ctx = telemetry::TelemetryContext::make(
         spec.server.machine, telemetry::TelemetryConfig{
@@ -224,10 +206,10 @@ ClusterResult ClusterRollup::finalize(
   // plus each node's completed watchdog safe-mode episodes, merged into
   // one MTTR sample. Sequential in node order, so deterministic.
   result.recovery_mttr_epochs = heartbeat.completed_outages();
-  for (const auto& node : nodes) {
-    const std::vector<int> episodes = node->result().safe_mode_episodes;
+  for (const NodeResult& nr : result.node_results) {
     result.recovery_mttr_epochs.insert(result.recovery_mttr_epochs.end(),
-                                       episodes.begin(), episodes.end());
+                                       nr.safe_mode_episodes.begin(),
+                                       nr.safe_mode_episodes.end());
   }
   result.mttr_p95_epochs = p95_epochs(result.recovery_mttr_epochs);
   auto& mttr_hist = registry.histogram(
@@ -242,8 +224,8 @@ ClusterResult ClusterRollup::finalize(
   // Roll the per-node counters up into the cluster registry ("fleet."
   // prefix) so one snapshot answers fleet-wide questions; gauges and
   // histograms stay node-local (summing them is not meaningful).
-  for (const auto& node : nodes) {
-    const auto snap = node->result().telemetry->metrics().snapshot();
+  for (const NodeResult& nr : result.node_results) {
+    const auto snap = nr.telemetry->metrics().snapshot();
     for (const auto& [name, value] : snap.counters) {
       registry.counter("fleet." + name).add(value);
     }
@@ -257,7 +239,7 @@ ClusterResult ClusterRollup::finalize(
   registry.gauge("cluster.max_power_ratio").set(result.max_cluster_power_ratio);
   registry.gauge("cluster.mean_power_w").set(result.mean_cluster_power_w);
 
-  for (const auto& node : nodes) node->result().telemetry->flush();
+  for (const NodeResult& nr : result.node_results) nr.telemetry->flush();
   telemetry_.flush();
   return result;
 }

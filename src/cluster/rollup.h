@@ -1,5 +1,5 @@
 // Fleet construction and aggregation for the fleet engine
-// (fleet/fleet.h). build_cluster() places, seeds and warms the nodes and
+// (fleet/fleet.h). build_cluster() seeds and warms the nodes and
 // resolves the cluster budget; ClusterRollup owns every per-epoch
 // cluster instrument and the end-of-run ClusterResult assembly. FleetSim
 // feeds it once per epoch in the same order whether quiescence skipping
@@ -22,9 +22,8 @@ namespace sturgeon::cluster {
 void fill_comms_results(const comms::CommsFabric& fabric,
                         ClusterResult& result);
 
-/// What build_cluster() assembles: the placed, seeded fleet (models
-/// pre-warmed), the cluster telemetry context and the resolved cluster
-/// power budget.
+/// What build_cluster() assembles: the seeded fleet (models pre-warmed),
+/// the cluster telemetry context and the resolved cluster power budget.
 struct ClusterBuild {
   std::shared_ptr<telemetry::TelemetryContext> telemetry;
   std::vector<std::unique_ptr<ClusterNode>> nodes;
@@ -32,11 +31,11 @@ struct ClusterBuild {
   int max_trace_s = 0;  ///< longest node trace (default epoch count)
 };
 
-/// Place workloads onto machines, warm every distinct Sturgeon model on
-/// `pool`, construct the fleet with per-node derived seeds and child
-/// telemetry contexts, and resolve the cluster budget. Throws
-/// std::invalid_argument on an empty fleet or bad oversubscription;
-/// STURGEON_CHECKs that the budget clears the fleet's idle power.
+/// Warm every distinct Sturgeon model on `pool`, construct node i from
+/// `specs[i]` with a derived seed and a child telemetry context, and
+/// resolve the cluster budget. Throws std::invalid_argument on an empty
+/// fleet or bad oversubscription; STURGEON_CHECKs that the budget clears
+/// the fleet's idle power.
 ClusterBuild build_cluster(std::vector<NodeSpec> specs,
                            const ClusterConfig& config, ThreadPool& pool);
 

@@ -10,7 +10,19 @@
 namespace sturgeon::comms {
 
 namespace {
+
 constexpr std::uint64_t kRetryJitterFork = 0x7E;
+/// A lease within this many watts of the coordinator's desired cap
+/// counts as settled (no re-send).
+constexpr double kGrantEpsilonW = 1e-6;
+/// Bounded-exponential re-send backoff on the virtual epoch clock: the
+/// first re-send waits this many epochs, and each later one doubles it
+/// up to retry_max_epochs.
+constexpr int kRetryBaseEpochs = 1;
+/// Deterministic jitter fraction on the backoff (0 = none, 1 = the
+/// delay is scaled by a seeded uniform draw from [0.5, 1.5)).
+constexpr double kRetryJitter = 0.5;
+
 }  // namespace
 
 CommsFabric::CommsFabric(const CommsConfig& config, std::uint64_t seed,
@@ -29,10 +41,7 @@ CommsFabric::CommsFabric(const CommsConfig& config, std::uint64_t seed,
                  "CommsFabric: reports/idle size mismatch");
   if (config_.lease_epochs < 1 || config_.renew_ahead_epochs < 0 ||
       config_.renew_ahead_epochs >= config_.lease_epochs ||
-      config_.retry_base_epochs < 1 ||
-      config_.retry_max_epochs < config_.retry_base_epochs ||
-      !(config_.retry_jitter >= 0.0 && config_.retry_jitter <= 1.0) ||
-      !(config_.grant_epsilon_w >= 0.0)) {
+      config_.retry_max_epochs < kRetryBaseEpochs) {
     throw std::invalid_argument("CommsFabric: bad comms configuration");
   }
   const std::size_t n = reports_.size();
@@ -134,8 +143,8 @@ void CommsFabric::send_grants(const std::vector<double>& desired_w,
   // clamp maximal room for the above-average asks.
   for (int pass = 0; pass < 2; ++pass) {
     for (int i = 0; i < n; ++i) {
-      const bool modest = desired_w[i] <= ledger_.autonomous_w(i) +
-                                              config_.grant_epsilon_w;
+      const bool modest =
+          desired_w[i] <= ledger_.autonomous_w(i) + kGrantEpsilonW;
       if (modest != (pass == 0)) continue;
       if (dead[static_cast<std::size_t>(i)]) continue;
       maybe_grant(i, desired_w[i], expiry, t);
@@ -147,7 +156,7 @@ void CommsFabric::maybe_grant(int node, double desired_w, int expiry_epoch,
                               int t) {
   const auto i = static_cast<std::size_t>(node);
   const LeaseCandidate& acked = ledger_.acked(node);
-  const double eps = config_.grant_epsilon_w;
+  const double eps = kGrantEpsilonW;
   const bool settled = acked.seq != 0 &&
                        std::abs(acked.cap_w - desired_w) <= eps &&
                        acked.expiry_epoch - t > config_.renew_ahead_epochs;
@@ -177,19 +186,15 @@ void CommsFabric::maybe_grant(int node, double desired_w, int expiry_epoch,
   ledger_.record_grant(node, m.grant);
   channel_.send_to_node(node, m, t);
 
-  // Bounded-exponential re-send schedule with deterministic jitter
-  // (src/fault/retry discipline on the epoch clock). Reset on any ack
-  // progress (handle_ack).
+  // Bounded-exponential re-send schedule with deterministic jitter on
+  // the epoch clock. Reset on any ack progress (handle_ack).
   ++attempts_[i];
   const int shift = std::min(attempts_[i] - 1, 30);
   double backoff = std::min<double>(
-      static_cast<double>(config_.retry_base_epochs) *
-          static_cast<double>(1u << shift),
+      static_cast<double>(kRetryBaseEpochs) * static_cast<double>(1u << shift),
       static_cast<double>(config_.retry_max_epochs));
-  if (config_.retry_jitter > 0.0) {
-    backoff *= 1.0 - config_.retry_jitter / 2.0 +
-               config_.retry_jitter * retry_rng_[i].next_double();
-  }
+  backoff *= 1.0 - kRetryJitter / 2.0 +
+             kRetryJitter * retry_rng_[i].next_double();
   next_retry_[i] = t + std::max(1, static_cast<int>(backoff));
 }
 

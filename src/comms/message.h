@@ -92,16 +92,9 @@ struct CommsConfig {
   /// become due for renewal. Must exceed the grant->ack round trip
   /// (2 epochs) or every term boundary causes a spurious lapse.
   int renew_ahead_epochs = 4;
-  /// A lease within this many watts of the coordinator's desired cap
-  /// counts as settled (no re-send).
-  double grant_epsilon_w = 1e-6;
-  /// Bounded-exponential re-send backoff, in epochs (src/fault/retry
-  /// discipline, on the virtual epoch clock).
-  int retry_base_epochs = 1;
+  /// Ceiling, in epochs, of the bounded-exponential grant re-send
+  /// backoff (the base and the jitter are fixed in fabric.cpp).
   int retry_max_epochs = 8;
-  /// Deterministic jitter fraction on the backoff (0 = none, 1 = the
-  /// delay is scaled by a seeded uniform draw from [0.5, 1.5)).
-  double retry_jitter = 0.5;
   /// Link perturbation. All-zero (the default) makes the channel
   /// RELIABLE: same-epoch delivery, no lease clamping, no retries --
   /// bit-identical to the direct shared-memory paths.

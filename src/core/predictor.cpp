@@ -38,15 +38,6 @@ AppSlice SliceGrid::at(std::size_t index) const {
   return s;
 }
 
-ModelCallBreakdown ModelCallCounters::snapshot() const {
-  ModelCallBreakdown b;
-  b.ls_qos = ls_qos.load(std::memory_order_relaxed);
-  b.ls_power = ls_power.load(std::memory_order_relaxed);
-  b.be_ipc = be_ipc.load(std::memory_order_relaxed);
-  b.be_power = be_power.load(std::memory_order_relaxed);
-  return b;
-}
-
 namespace {
 
 /// Flattened feature matrix covering grid slices [first, grid.size()), in
@@ -114,8 +105,7 @@ Predictor::BeTables Predictor::make_be_tables(
         return be_features(machine_, kNativeInputLevel, s);
       },
       &stride);
-  const auto fill = [&](const ml::Regressor& model, const char* what,
-                        std::atomic<std::uint64_t>& calls) {
+  const auto fill = [&](const ml::Regressor& model, const char* what) {
     std::vector<double> table(grid_.size(), 0.0);
     double* out = table.data() + first;
     model.predict_batch(xs.data(), n, stride, out);
@@ -123,33 +113,27 @@ Predictor::BeTables Predictor::make_be_tables(
       out[i] = std::max(0.0, ValidateModelOutput(out[i], what,
                                                  /*allow_negative=*/true));
     }
-    calls.fetch_add(n, std::memory_order_relaxed);
+    invocations_.add(n);
     return table;
   };
   BeTables tables;
-  tables.power = fill(*models.be_power, "be_power", counters_.be_power);
-  tables.ipc = fill(*models.be_ipc, "be_ipc", counters_.be_ipc);
+  tables.power = fill(*models.be_power, "be_power");
+  tables.ipc = fill(*models.be_ipc, "be_ipc");
   return tables;
-}
-
-void Predictor::swap_models(TrainedModels models) {
-  models = validate_models(std::move(models));
-  be_ = make_be_tables(models);
-  models_ = std::move(models);
 }
 
 bool Predictor::ls_qos_ok(double qps_real, const AppSlice& slice,
                           std::uint64_t* calls) const {
   STURGEON_DCHECK(std::isfinite(qps_real) && qps_real >= 0.0,
                   "ls_qos_ok: qps = " << qps_real);
-  counters_.ls_qos.fetch_add(1, std::memory_order_relaxed);
+  invocations_.inc();
   if (calls != nullptr) ++*calls;
   return models_.ls_qos->predict(ls_row(machine_, qps_real, slice)) == 1;
 }
 
 double Predictor::ls_power_w(double qps_real, const AppSlice& slice,
                              std::uint64_t* calls) const {
-  counters_.ls_power.fetch_add(1, std::memory_order_relaxed);
+  invocations_.inc();
   if (calls != nullptr) ++*calls;
   // A regression model may extrapolate slightly below zero at the edge of
   // the feature space; that is benign, but non-finite output never is.

@@ -16,11 +16,11 @@
 // query runs its model once.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "core/trainer.h"
+#include "telemetry/metrics.h"
 #include "util/types.h"
 
 namespace sturgeon::core {
@@ -58,28 +58,6 @@ class SliceGrid {
   std::size_t size_;
 };
 
-/// Per-role model invocation counts (overhead accounting). A snapshot of
-/// the Predictor's live counters; a BE table fill adds its whole batch.
-struct ModelCallBreakdown {
-  std::uint64_t ls_qos = 0;
-  std::uint64_t ls_power = 0;
-  std::uint64_t be_ipc = 0;
-  std::uint64_t be_power = 0;
-
-  std::uint64_t total() const { return ls_qos + ls_power + be_ipc + be_power; }
-};
-
-/// The Predictor's live per-role invocation counters. Thread-safe: the
-/// fleet's worker threads query one shared predictor concurrently.
-struct ModelCallCounters {
-  mutable std::atomic<std::uint64_t> ls_qos{0};
-  mutable std::atomic<std::uint64_t> ls_power{0};
-  mutable std::atomic<std::uint64_t> be_ipc{0};
-  mutable std::atomic<std::uint64_t> be_power{0};
-
-  ModelCallBreakdown snapshot() const;
-};
-
 class Predictor {
  public:
   /// Takes ownership of the trained models.
@@ -115,20 +93,12 @@ class Predictor {
 
   const MachineSpec& machine() const { return machine_; }
 
-  /// Replace the trained models (e.g. after retraining) and refill the
-  /// BE tables. Not safe against concurrent predictions.
-  void swap_models(TrainedModels models);
-
   /// Cumulative number of model invocations (overhead accounting).
   /// Thread-safe: nodes sharing the predictor query it concurrently.
-  /// BE table lookups are not invocations; a BE table fill (at
-  /// construction and swap_models()) adds the whole batch it swept.
+  /// BE table lookups are not invocations; the BE table fill at
+  /// construction adds the whole batch it swept.
   std::uint64_t model_invocations() const {
-    return counters_.snapshot().total();
-  }
-  /// Per-role split of model_invocations().
-  ModelCallBreakdown model_call_breakdown() const {
-    return counters_.snapshot();
+    return invocations_.value();
   }
 
  private:
@@ -148,7 +118,10 @@ class Predictor {
   MachineSpec machine_;
   SliceGrid grid_;
   TrainedModels models_;
-  ModelCallCounters counters_;
+  /// On its own cache line: every node of the pair bumps it on every LS
+  /// query, from whichever worker thread steps the node, while those
+  /// threads read the members around it.
+  mutable telemetry::Counter invocations_;
   BeTables be_;
 };
 

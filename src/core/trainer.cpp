@@ -165,6 +165,9 @@ BeProfilingData collect_be_profiling(const BeProfile& be,
 
 namespace {
 
+/// Hold-out share for model selection.
+constexpr double kTestFraction = 0.25;
+
 /// Split parallel arrays into train/test with one shuffled index set.
 struct Split {
   std::vector<std::size_t> train, test;
@@ -199,7 +202,7 @@ std::shared_ptr<const ml::Regressor> select_regressor(
     FamilyScores& scores_out) {
   if (x.empty()) throw std::invalid_argument("select_regressor: no data");
   const Split split =
-      make_split(x.size(), config.test_fraction, config.seed ^ salt);
+      make_split(x.size(), kTestFraction, config.seed ^ salt);
   const ml::DataSet train = gather(x, y, split.train);
   const ml::DataSet test = gather(x, y, split.test);
   ml::ModelKind best_kind = ml::ModelKind::kKnn;
@@ -226,7 +229,7 @@ std::shared_ptr<const ml::Classifier> select_classifier(
     FamilyScores& scores_out) {
   if (x.empty()) throw std::invalid_argument("select_classifier: no data");
   const Split split =
-      make_split(x.size(), config.test_fraction, config.seed ^ salt);
+      make_split(x.size(), kTestFraction, config.seed ^ salt);
   std::vector<ml::FeatureRow> xtr, xte;
   std::vector<int> ytr, yte;
   for (std::size_t i : split.train) {

@@ -38,7 +38,6 @@ struct TrainerConfig {
   int ls_boundary_searches = 120;
   int be_samples = 400;        ///< profiling configurations per BE app
   int intervals_per_sample = 3;  ///< 1 s measurements per configuration
-  double test_fraction = 0.25;   ///< hold-out share for model selection
   /// A configuration is labeled QoS-feasible only if its profiled p95
   /// stays within margin * target. The margin aligns the classifier
   /// boundary with the controller's alpha slack band so the search does

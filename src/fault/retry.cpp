@@ -1,6 +1,5 @@
 #include "fault/retry.h"
 
-#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
@@ -11,14 +10,10 @@
 namespace sturgeon::fault {
 
 RetryingEnforcer::RetryingEnforcer(isolation::ResourceEnforcer& inner,
-                                   RetryConfig config, std::uint64_t jitter_seed)
-    : inner_(inner), config_(config), jitter_rng_(jitter_seed) {
-  if (config_.max_attempts < 1 || config_.base_backoff_us < 0 ||
-      config_.max_backoff_us < config_.base_backoff_us) {
+                                   RetryConfig config)
+    : inner_(inner), config_(config) {
+  if (config_.max_attempts < 1) {
     throw std::invalid_argument("RetryingEnforcer: bad retry config");
-  }
-  if (!(config_.jitter >= 0.0 && config_.jitter <= 1.0)) {
-    throw std::invalid_argument("RetryingEnforcer: jitter must be in [0, 1]");
   }
 }
 
@@ -38,7 +33,6 @@ void RetryingEnforcer::attach_telemetry(
 bool RetryingEnforcer::apply(const Partition& target) {
   ++stats_.applies;
   std::optional<telemetry::Span> retry_span;
-  std::uint64_t backoff_us = 0;
   int attempts = 0;
   bool ok = false;
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
@@ -46,19 +40,6 @@ bool RetryingEnforcer::apply(const Partition& target) {
     if (attempt > 0) {
       ++stats_.retries;
       if (retries_counter_ != nullptr) retries_counter_->inc();
-      // Simulated bounded exponential backoff: recorded, never slept.
-      std::uint64_t delay = std::min<std::uint64_t>(
-          static_cast<std::uint64_t>(config_.base_backoff_us) << (attempt - 1),
-          static_cast<std::uint64_t>(config_.max_backoff_us));
-      if (config_.jitter > 0.0) {
-        // One draw per backoff, only when jitter is on: the zero-jitter
-        // default consumes no RNG and stays bit-exact with older runs.
-        const double factor =
-            1.0 - config_.jitter / 2.0 + config_.jitter * jitter_rng_.next_double();
-        delay = static_cast<std::uint64_t>(static_cast<double>(delay) * factor);
-      }
-      backoff_us += delay;
-      stats_.backoff_us += delay;
       if (!retry_span && telemetry_ != nullptr &&
           telemetry_->tracing_enabled()) {
         retry_span = telemetry_->tracer().start_span("enforce.retry");
@@ -85,9 +66,7 @@ bool RetryingEnforcer::apply(const Partition& target) {
     inner_.resync();
   }
   if (retry_span) {
-    retry_span->attr("attempts", attempts)
-        .attr("backoff_us", backoff_us)
-        .attr("ok", ok);
+    retry_span->attr("attempts", attempts).attr("ok", ok);
   }
   return ok;
 }

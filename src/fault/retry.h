@@ -1,16 +1,14 @@
-// Bounded-exponential-backoff retry with verify-after-apply around a
-// ResourceEnforcer.
+// Bounded retry with verify-after-apply around a ResourceEnforcer.
 //
 // One apply(target) attempt can fail two ways: a tool call throws
 // isolation::ActuatorError mid-sequence (partial apply), or every call
 // "succeeds" but verify() finds the hardware state does not match the
 // target. Either way the enforcer is resync()'d from the tools' real
 // state -- so the next attempt's shrink-before-grow ordering is
-// computed against reality -- and the apply is retried with
-// exponentially growing backoff, up to max_attempts. Backoff is
-// *simulated* (accumulated and exported as an attribute/counter, never
-// slept): the simulator's epoch clock is virtual, and a chaos run of
-// thousands of retries must not take wall-clock minutes.
+// computed against reality -- and the apply is retried at once, up to
+// max_attempts. Nothing waits between attempts: the simulator's epoch
+// clock is virtual, and a chaos run of thousands of retries must not
+// take wall-clock minutes.
 //
 // apply() returns false when every attempt failed. The caller keeps
 // running under whatever partition the hardware is actually in
@@ -22,7 +20,6 @@
 #include <memory>
 
 #include "isolation/enforcer.h"
-#include "util/rng.h"
 #include "util/types.h"
 
 namespace sturgeon::telemetry {
@@ -33,15 +30,7 @@ class Counter;
 namespace sturgeon::fault {
 
 struct RetryConfig {
-  int max_attempts = 4;          ///< total attempts per apply (>= 1)
-  int base_backoff_us = 100;     ///< backoff before the 2nd attempt
-  int max_backoff_us = 10'000;   ///< exponential growth ceiling
-  /// Deterministic jitter on each backoff delay: the delay is scaled by
-  /// a seeded uniform draw from [1 - jitter/2, 1 + jitter/2), breaking
-  /// the synchronized retry storms a fleet of identical backoff
-  /// schedules produces. 0 (the default) draws nothing at all, keeping
-  /// pre-jitter runs bit-exact. Must lie in [0, 1].
-  double jitter = 0.0;
+  int max_attempts = 4;  ///< total attempts per apply (>= 1)
 };
 
 struct RetryStats {
@@ -50,17 +39,12 @@ struct RetryStats {
   std::uint64_t actuator_errors = 0;  ///< attempts ended by ActuatorError
   std::uint64_t verify_failures = 0;  ///< attempts that applied but failed verify
   std::uint64_t gave_up = 0;          ///< applies abandoned after max_attempts
-  std::uint64_t backoff_us = 0;       ///< total simulated backoff
 };
 
 class RetryingEnforcer {
  public:
-  /// `jitter_seed` seeds the backoff-jitter stream; pass the node's
-  /// derive_seed(seed, kRetryJitterStream) so each node's jitter is an
-  /// independent deterministic stream. Unused (no draws) while
-  /// config.jitter == 0.
   RetryingEnforcer(isolation::ResourceEnforcer& inner,
-                   RetryConfig config = {}, std::uint64_t jitter_seed = 0);
+                   RetryConfig config = {});
 
   /// Attach counters (fault.actuator.*) and the tracer used for the
   /// "enforce.retry" span opened whenever an apply needs more than one
@@ -80,15 +64,10 @@ class RetryingEnforcer {
   isolation::ResourceEnforcer& inner_;
   RetryConfig config_;
   RetryStats stats_;
-  Rng jitter_rng_;
   std::shared_ptr<telemetry::TelemetryContext> telemetry_;
   telemetry::Counter* retries_counter_ = nullptr;
   telemetry::Counter* verify_counter_ = nullptr;
   telemetry::Counter* gave_up_counter_ = nullptr;
 };
-
-/// derive_seed stream label for the retry backoff jitter, separating it
-/// from the node's fault schedule (kFaultStream) and workload streams.
-inline constexpr std::uint64_t kRetryJitterStream = 0xB0;
 
 }  // namespace sturgeon::fault

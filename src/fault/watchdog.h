@@ -5,16 +5,16 @@
 //   HEALTHY --[trip_after consecutive bad epochs]--> SAFE_MODE
 //   SAFE_MODE --[clear_after consecutive good epochs]--> HEALTHY
 //
-// A "bad" epoch is a QoS violation or a cap overshoot beyond the
-// configured tolerance -- the two signals that mean the policy's model
-// of the machine has diverged from reality (crippled sensors, a wedged
-// actuator, a mispredicting model). While tripped, the node abandons
-// its policy's decisions and enforces the known-safe LS-max/BE-min
-// static partition (Partition::all_to_ls: every core, way and P-state
-// to the latency-sensitive app, BE parked), trading all batch
-// throughput for QoS until the fleet looks sane again. The asymmetric
-// thresholds (trip fast, clear slow) prevent flapping when the
-// underlying fault is intermittent.
+// A "bad" epoch is a QoS violation or a cap overshoot beyond a fixed
+// tolerance (ClusterNode::step) -- the two signals that mean the
+// policy's model of the machine has diverged from reality (crippled
+// sensors, a wedged actuator, a mispredicting model). While tripped,
+// the node abandons its policy's decisions and enforces the known-safe
+// LS-max/BE-min static partition (Partition::all_to_ls: every core, way
+// and P-state to the latency-sensitive app, BE parked), trading all
+// batch throughput for QoS until the fleet looks sane again. The
+// asymmetric thresholds (trip fast, clear slow) prevent flapping when
+// the underlying fault is intermittent.
 //
 // Episode lengths are recorded so recovery time (MTTR) is measurable:
 // each completed safe-mode episode feeds the cluster's
@@ -29,10 +29,6 @@ struct WatchdogConfig {
   bool enabled = false;
   int trip_after = 4;   ///< consecutive bad epochs before safe mode
   int clear_after = 6;  ///< consecutive good epochs before exit
-  /// A measured power above cap * (1 + tolerance) counts as a cap
-  /// overshoot. The slack absorbs the governor's one-epoch reaction lag
-  /// so a single hot epoch under a freshly lowered cap is not "bad".
-  double cap_overshoot_tolerance = 0.10;
 };
 
 class NodeWatchdog {

@@ -6,12 +6,21 @@
 
 namespace sturgeon::fleet {
 
+namespace {
+
+/// Power above this fraction of the cap counts as cap pressure.
+constexpr double kPressureRatio = 0.92;
+/// Power below this fraction of the cap lets the cap shrink.
+constexpr double kShrinkRatio = 0.60;
+static_assert(kPressureRatio > kShrinkRatio,
+              "the pressure band must sit above the shrink band");
+
+}  // namespace
+
 DeltaCoordinator::DeltaCoordinator(DeltaCoordinatorConfig config,
                                    double budget_w, std::size_t nodes)
     : config_(config), budget_w_(budget_w), caps_(nodes, 0.0) {
   STURGEON_CHECK(budget_w_ > 0.0, "DeltaCoordinator: budget must be > 0");
-  STURGEON_CHECK(config_.pressure_ratio > config_.shrink_ratio,
-                 "DeltaCoordinator: pressure_ratio must exceed shrink_ratio");
 }
 
 void DeltaCoordinator::rebase(const std::vector<double>& caps) {
@@ -39,12 +48,12 @@ double DeltaCoordinator::revise(std::size_t i,
     const double floor =
         std::max(r.idle_w, config_.min_cap_fraction * r.budget_w);
     next = std::min(cap + pool_w(), std::max(cap, floor));
-  } else if (!r.qos_met || r.power_w > config_.pressure_ratio * cap) {
+  } else if (!r.qos_met || r.power_w > kPressureRatio * cap) {
     const double want =
         std::min(r.budget_w, cap + config_.grant_fraction * r.budget_w);
     next = cap + std::max(0.0, std::min(want - cap, pool_w()));
     if (next > cap) ++grants_;
-  } else if (r.alive() && r.power_w < config_.shrink_ratio * cap) {
+  } else if (r.alive() && r.power_w < kShrinkRatio * cap) {
     const double floor =
         std::max(r.idle_w, config_.min_cap_fraction * r.budget_w);
     const double target = r.power_w + config_.headroom_margin * r.budget_w;

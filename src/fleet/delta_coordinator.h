@@ -29,12 +29,8 @@ struct DeltaCoordinatorConfig {
   /// Epochs between full-strategy rebalances (always one at t=0).
   /// 0 = initial split only, deltas forever after.
   int rebalance_period = 32;
-  /// Power above this fraction of the cap counts as cap pressure.
-  double pressure_ratio = 0.92;
   /// Fraction of the node's natural budget granted per pressure event.
   double grant_fraction = 0.25;
-  /// Power below this fraction of the cap lets the cap shrink.
-  double shrink_ratio = 0.60;
   /// Headroom left above measured power when shrinking (fraction of the
   /// node budget), mirroring CoordinatorConfig::headroom_margin.
   double headroom_margin = 0.04;

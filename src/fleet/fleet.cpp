@@ -12,6 +12,15 @@ namespace sturgeon::fleet {
 using cluster::ClusterRollup;
 using cluster::NodeReport;
 
+namespace {
+
+/// Minimum QoS slack (fraction of the target) required to sleep --
+/// nodes near their latency target keep stepping so the governor can
+/// react every epoch.
+constexpr double kSleepMinSlack = 0.05;
+
+}  // namespace
+
 FleetSim::FleetSim(std::vector<cluster::NodeSpec> specs, FleetConfig config)
     : config_(std::move(config)),
       heartbeat_(std::max<std::size_t>(specs.size(), 1),
@@ -416,7 +425,7 @@ void FleetSim::maybe_sleep(std::size_t i, int t) {
   // and reporting, QoS met with slack in band, governor quiet, not in
   // safe mode, comfortably under its cap.
   if (!r.alive() || !r.qos_met) return;
-  if (r.slack < q.min_slack) return;
+  if (r.slack < kSleepMinSlack) return;
   // Governor: quiet (no levels confiscated) or holding a constant
   // nonzero level under the relax hysteresis -- both are part of the
   // node's fixed point. A *moving* nonzero level is active cap

@@ -1,11 +1,10 @@
 // Online slot placement for churn jobs.
 //
-// The batch scheduler in cluster/placement.h matches one workload pair
-// per node up front; churn jobs instead arrive one at a time and need
-// an O(log N) "which node hosts this job" answer against the live
-// occupancy state. SlotPlacer keeps per-free-slot-count buckets of
-// node ids (ordered sets, ties toward the lower id like the batch
-// scheduler) and reuses the same PlacementKind vocabulary:
+// Node i always runs workload spec i; churn jobs arrive one at a time
+// on top and need an O(log N) "which node hosts this job" answer
+// against the live occupancy state. SlotPlacer keeps per-free-slot-count
+// buckets of node ids (ordered sets, ties toward the lower id) and
+// speaks the PlacementKind vocabulary of cluster/placement.h:
 //
 //   worst-fit     node with the most free BE slots (spread load);
 //   bin-pack      node with the fewest free slots that still fits

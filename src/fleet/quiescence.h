@@ -40,10 +40,6 @@ struct QuiescenceConfig {
   /// Trace band: a node sleeps only while |load(t') - load(t)| stays
   /// below this; the first epoch outside the band is a scheduled wake.
   double load_epsilon = 0.02;
-  /// Minimum QoS slack (fraction of the target) required to sleep --
-  /// nodes near their latency target keep stepping so the governor can
-  /// react every epoch.
-  double min_slack = 0.05;
   /// Required power headroom under the cap: sleep only while
   /// power <= (1 - cap_headroom) * cap, so a frozen draw cannot sit on
   /// the cap edge unobserved.

@@ -50,9 +50,8 @@ class PowerModel {
 
   /// Machine power capacity: the whole package busy at top frequency
   /// with unit activity and no memory traffic. Machine-only (no
-  /// workload term), so heterogeneous fleets rank by hardware size --
-  /// used by placement and as the physical upper bound a sane power
-  /// sensor reading can never exceed (sensor sanitization).
+  /// workload term); the physical upper bound a sane power sensor
+  /// reading can never exceed (sensor sanitization).
   double max_package_power_w() const;
 
   const PowerCoefficients& coefficients() const { return coeffs_; }

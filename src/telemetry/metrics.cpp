@@ -6,25 +6,6 @@
 
 namespace sturgeon::telemetry {
 
-std::size_t Counter::shard_index() noexcept {
-  // Threads round-robin onto shards at first use; a thread keeps its
-  // shard for life so the hot path is a thread_local read.
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t idx =
-      next.fetch_add(1, std::memory_order_relaxed) % kNumShards;
-  return idx;
-}
-
-std::uint64_t Counter::value() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& s : shards_) total += s.v.load(std::memory_order_relaxed);
-  return total;
-}
-
-void Counter::reset() noexcept {
-  for (auto& s : shards_) s.v.store(0, std::memory_order_relaxed);
-}
-
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {
   if (bounds_.empty()) {

@@ -4,8 +4,9 @@
 // harvests, model invocations, per-phase latencies -- reports through one
 // of three instruments:
 //
-//   Counter    monotone event count; sharded relaxed atomics so the
-//              config-search hot path pays one uncontended fetch_add.
+//   Counter    monotone event count; one cache-line-aligned relaxed
+//              atomic, so the config-search hot path pays one
+//              uncontended fetch_add.
 //   Gauge      last-observed value (slack, hit rate, reserve sizes).
 //   Histogram  fixed-bucket distribution with snapshot-time quantiles
 //              (phase durations, per-epoch p95/power).
@@ -15,11 +16,9 @@
 // see DESIGN.md section 7 for the naming conventions. Lookup takes a
 // mutex, so hot paths fetch the instrument once and keep the reference;
 // references stay valid for the registry's lifetime. Reads are
-// snapshot-on-read: value()/snapshot() sum the shards without stopping
-// writers.
+// snapshot-on-read: value()/snapshot() load without stopping writers.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -32,31 +31,30 @@
 
 namespace sturgeon::telemetry {
 
-/// Monotone event counter. Thread-safe; add() is wait-free on a
-/// cache-line-padded shard picked per thread.
-class Counter {
+/// Monotone event counter. Thread-safe; add() is one wait-free relaxed
+/// fetch_add. Every registry has one writer at a time (a node's step or
+/// the engine's sequential phases), so one atomic suffices; it fills its
+/// own cache line so that counters of nodes stepped on different worker
+/// threads never share one.
+class alignas(64) Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    shards_[shard_index()].v.fetch_add(n, std::memory_order_relaxed);
+    v_.fetch_add(n, std::memory_order_relaxed);
   }
   void inc() noexcept { add(1); }
 
-  /// Sum over shards; monotone between reset() calls.
-  std::uint64_t value() const noexcept;
+  /// Monotone between reset() calls.
+  std::uint64_t value() const noexcept {
+    return v_.load(std::memory_order_relaxed);
+  }
 
-  /// Zero every shard (new run). Not atomic against concurrent add().
-  void reset() noexcept;
+  /// Zero the count (new run). Not atomic against concurrent add().
+  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  static constexpr std::size_t kNumShards = 16;
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> v{0};
-  };
-
-  static std::size_t shard_index() noexcept;
-
-  std::array<Shard, kNumShards> shards_;
+  std::atomic<std::uint64_t> v_{0};
 };
+static_assert(sizeof(Counter) == 64, "one counter per cache line");
 
 /// Last-observed value. Thread-safe (single atomic double).
 class Gauge {

@@ -16,6 +16,7 @@
 #include "cluster/export.h"
 #include "core/controller.h"
 #include "fleet/fleet.h"
+#include "sim/power_model.h"
 #include "workloads/app_profile.h"
 
 namespace sturgeon::cluster {
@@ -173,6 +174,29 @@ TEST(ClusterSim, MismatchedTraceLengthsClampAndRunFullLockstep) {
   for (const auto& nr : result.node_results) {
     EXPECT_EQ(nr.epochs, 30) << "node " << nr.node;
     EXPECT_GT(nr.total_completed, 0u) << "node " << nr.node;
+  }
+}
+
+// Node i runs spec i: its workload pair, its trace and its machine stay
+// together, whatever the specs differ in.
+TEST(ClusterSim, EachSpecStaysOnItsOwnMachine) {
+  std::vector<NodeSpec> specs = fake_fleet(4, 5);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].be = be_catalog()[i % be_catalog().size()];
+    specs[i].server.power.uncore_w = 14.0 + 2.0 * static_cast<double>(i);
+  }
+  const std::vector<NodeSpec> want = specs;
+  ClusterConfig config;
+  config.seed = 5;
+  fleet::FleetSim sim(std::move(specs), lockstep(config));
+  ASSERT_EQ(sim.num_nodes(), 4);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ClusterNode& node = sim.node(i);
+    const sim::PowerModel power(want[i].server.machine,
+                                want[i].server.power);
+    EXPECT_EQ(node.idle_w(), power.idle_power_w()) << "node " << i;
+    EXPECT_EQ(node.trace().points(), want[i].trace.points()) << "node " << i;
+    EXPECT_EQ(node.result().be, want[i].be.name) << "node " << i;
   }
 }
 

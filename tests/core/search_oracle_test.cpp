@@ -388,16 +388,6 @@ TEST(SearchOracle, BeAnswersMatchScalarModelsOnTrainedPair) {
   expect_be_grid_matches(predictor, ScalarModels{m, pair.models});
 }
 
-TEST(SearchOracle, BeAnswersFollowSwappedModels) {
-  const TrainedModels fake = testing::fake_models();
-  const TrainedPair& pair = trained_pair();
-  Predictor predictor(m, fake);
-  predictor.swap_models(pair.models);
-  expect_be_grid_matches(predictor, ScalarModels{m, pair.models});
-  predictor.swap_models(fake);
-  expect_be_grid_matches(predictor, ScalarModels{m, fake});
-}
-
 TEST(SearchOracle, RuntimeMatchesScalarModelsOnFakeModels) {
   const TrainedModels models = testing::fake_models();
   const Predictor predictor(m, models);

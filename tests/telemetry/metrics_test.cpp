@@ -22,8 +22,8 @@ TEST(Counter, StartsAtZeroAndAccumulates) {
 
 TEST(Counter, ConcurrentIncrementsAreLossless) {
   // Exercised under TSan by the sanitizer CI legs: many threads hammer
-  // one counter through the sharded hot path; value() reads while
-  // writers run and the final sum must be exact.
+  // one counter's single atomic; value() reads while writers run and
+  // the final sum must be exact.
   Counter c;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
