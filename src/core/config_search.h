@@ -38,8 +38,9 @@ struct SearchResult {
   double predicted_throughput = 0.0;
   double predicted_power_w = 0.0;
   std::vector<Candidate> candidates;      ///< all feasible candidates seen
-  /// Model evaluations this search caused: 1 per LS query, none for a
-  /// BE table lookup. Counted by the search itself, so concurrent
+  /// Model evaluations this search caused: 1 per LS power query and per
+  /// LS QoS query the QoS table does not answer, none for a table
+  /// lookup. Counted by the search itself, so concurrent
   /// searches on a shared predictor never count each other's calls.
   std::uint64_t model_invocations = 0;
 };

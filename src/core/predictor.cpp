@@ -11,33 +11,6 @@
 
 namespace sturgeon::core {
 
-SliceGrid::SliceGrid(const MachineSpec& machine)
-    : max_cores_(machine.num_cores),
-      levels_(machine.num_freq_levels()),
-      ways_(machine.llc_ways + 1),
-      size_(static_cast<std::size_t>(machine.num_cores + 1) *
-            static_cast<std::size_t>(levels_) *
-            static_cast<std::size_t>(ways_)) {}
-
-void SliceGrid::throw_outside(const AppSlice& slice) {
-  throw std::out_of_range("SliceGrid: slice <" + std::to_string(slice.cores) +
-                          "C, level " + std::to_string(slice.freq_level) +
-                          ", " + std::to_string(slice.llc_ways) +
-                          "L> outside the machine");
-}
-
-AppSlice SliceGrid::at(std::size_t index) const {
-  STURGEON_DCHECK(index < size_,
-                  "SliceGrid::at: index " << index << " >= " << size_);
-  const auto nf = static_cast<std::size_t>(levels_);
-  const auto nw = static_cast<std::size_t>(ways_);
-  AppSlice s;
-  s.llc_ways = static_cast<int>(index % nw);
-  s.freq_level = static_cast<int>((index / nw) % nf);
-  s.cores = static_cast<int>(index / (nw * nf));
-  return s;
-}
-
 namespace {
 
 /// Flattened feature matrix covering grid slices [first, grid.size()), in
@@ -89,6 +62,9 @@ Predictor::Predictor(const MachineSpec& machine, TrainedModels models)
   STURGEON_CHECK(machine_.num_cores >= 1 && machine_.llc_ways >= 1 &&
                      machine_.num_freq_levels() >= 1,
                  "Predictor: degenerate machine spec");
+  if (models_.ls_qos_table && models_.ls_qos_table->built_for(machine_)) {
+    qos_table_ = models_.ls_qos_table.get();
+  }
   be_ = make_be_tables(models_);
 }
 
@@ -126,6 +102,10 @@ bool Predictor::ls_qos_ok(double qps_real, const AppSlice& slice,
                           std::uint64_t* calls) const {
   STURGEON_DCHECK(std::isfinite(qps_real) && qps_real >= 0.0,
                   "ls_qos_ok: qps = " << qps_real);
+  if (qos_table_ != nullptr) {
+    const int label = qos_table_->lookup(slice, qps_real);
+    if (label != LsQosTable::kUnproven) return label == 1;
+  }
   invocations_.inc();
   if (calls != nullptr) ++*calls;
   return models_.ls_qos->predict(ls_row(machine_, qps_real, slice)) == 1;

@@ -12,8 +12,14 @@
 // once over every slice of the machine (one predict_batch sweep per
 // model) and be_power_w()/be_ipc() become lock-free lookups in those
 // immutable tables. The ml layer's batch contract makes each entry
-// bit-identical to a scalar predict(); lookups invoke no model. Every LS
-// query runs its model once.
+// bit-identical to a scalar predict(); lookups invoke no model.
+//
+// The LS QoS answer comes from the model set's certified table
+// (core/qos_table.h) where it proves one, and from one model call
+// otherwise: inside an unproven sliver, outside the table's QPS range,
+// or when the classifier has no interval pass (no table). Either way it
+// is the label the model returns. Every ls_power_w() query runs its
+// model once.
 #pragma once
 
 #include <cstdint>
@@ -25,47 +31,14 @@
 
 namespace sturgeon::core {
 
-/// Dense index over every (cores, freq_level, llc_ways) slice of a
-/// machine, each dimension including 0, so complement and degenerate
-/// slices index without special cases. The predictor's BE tables use
-/// this geometry. index() checks its argument in every build: a slice
-/// outside the machine throws std::out_of_range.
-class SliceGrid {
- public:
-  explicit SliceGrid(const MachineSpec& machine);
-
-  std::size_t size() const { return size_; }
-
-  std::size_t index(const AppSlice& slice) const {
-    if (slice.cores < 0 || slice.cores > max_cores_ ||
-        slice.freq_level < 0 || slice.freq_level >= levels_ ||
-        slice.llc_ways < 0 || slice.llc_ways >= ways_) {
-      throw_outside(slice);
-    }
-    return static_cast<std::size_t>(
-        (slice.cores * levels_ + slice.freq_level) * ways_ + slice.llc_ways);
-  }
-
-  /// Inverse of index(); `index` must be below size().
-  AppSlice at(std::size_t index) const;
-
- private:
-  [[noreturn]] static void throw_outside(const AppSlice& slice);
-
-  int max_cores_;
-  int levels_;  ///< P-states
-  int ways_;    ///< way counts 0..llc_ways
-  std::size_t size_;
-};
-
 class Predictor {
  public:
   /// Takes ownership of the trained models.
   Predictor(const MachineSpec& machine, TrainedModels models);
 
   /// QoS feasibility of an LS slice at real-scale load `qps_real`. A
-  /// non-null `calls` gets the one model evaluation this query runs
-  /// added to it.
+  /// non-null `calls` gets the model evaluation this query runs added to
+  /// it: none when the QoS table answers, else one.
   bool ls_qos_ok(double qps_real, const AppSlice& slice,
                  std::uint64_t* calls = nullptr) const;
 
@@ -93,10 +66,15 @@ class Predictor {
 
   const MachineSpec& machine() const { return machine_; }
 
+  /// The LS QoS table this predictor answers from; null when every QoS
+  /// query runs the model.
+  const LsQosTable* qos_table() const { return qos_table_; }
+
   /// Cumulative number of model invocations (overhead accounting).
   /// Thread-safe: nodes sharing the predictor query it concurrently.
-  /// BE table lookups are not invocations; the BE table fill at
-  /// construction adds the whole batch it swept.
+  /// Table lookups (BE and LS QoS) are not invocations; the BE table fill
+  /// at construction adds the whole batch it swept. The LS QoS table is
+  /// built with the model set, before any predictor, and adds nothing.
   std::uint64_t model_invocations() const {
     return invocations_.value();
   }
@@ -118,8 +96,10 @@ class Predictor {
   MachineSpec machine_;
   SliceGrid grid_;
   TrainedModels models_;
+  /// models_.ls_qos_table when it was built for machine_, else null.
+  const LsQosTable* qos_table_ = nullptr;
   /// On its own cache line: every node of the pair bumps it on every LS
-  /// query, from whichever worker thread steps the node, while those
+  /// model call, from whichever worker thread steps the node, while those
   /// threads read the members around it.
   mutable telemetry::Counter invocations_;
   BeTables be_;

@@ -258,15 +258,33 @@ std::shared_ptr<const ml::Classifier> select_classifier(
 
 }  // namespace
 
-LsModels train_ls_models(const LsProfilingData& data,
-                         const TrainerConfig& config) {
+LsModels fit_ls_models(const LsProfilingData& data,
+                       const TrainerConfig& config) {
   LsModels models;
   models.qos =
       select_classifier(data.x, data.qos_ok, config, 0xa1,
                         models.qos_accuracy);
   models.power =
       select_regressor(data.x, data.power_w, config, 0xa2, models.power_r2);
+  for (const ml::FeatureRow& row : data.x) {
+    models.profiled_peak_qps =
+        std::max(models.profiled_peak_qps, row[0] * 1000.0);  // kQPS
+  }
   return models;
+}
+
+LsModels train_ls_models(const LsProfilingData& data,
+                         const TrainerConfig& config) {
+  LsModels models = fit_ls_models(data, config);
+  add_qos_table(models, config.server.machine);
+  return models;
+}
+
+void add_qos_table(LsModels& models, const MachineSpec& machine,
+                   ThreadPool* pool) {
+  if (models.qos_table || !models.qos->has_interval_pass()) return;
+  models.qos_table = std::make_shared<const LsQosTable>(
+      *models.qos, machine, kQosTableRange * models.profiled_peak_qps, pool);
 }
 
 BeModels train_be_models(const BeProfilingData& data,
@@ -283,6 +301,7 @@ BeModels train_be_models(const BeProfilingData& data,
 TrainedModels assemble_models(const LsModels& ls, const BeModels& be) {
   TrainedModels m;
   m.ls_qos = ls.qos;
+  m.ls_qos_table = ls.qos_table;
   m.ls_power = ls.power;
   m.be_ipc = be.ipc;
   m.be_power = be.power;

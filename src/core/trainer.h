@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "core/qos_table.h"
 #include "ml/factory.h"
 #include "sim/server.h"
 #include "workloads/app_profile.h"
@@ -81,6 +82,11 @@ using FamilyScores = std::vector<std::pair<ml::ModelKind, double>>;
 struct LsModels {
   std::shared_ptr<const ml::Classifier> qos;
   std::shared_ptr<const ml::Regressor> power;
+  /// Certified answers of `qos` over QPS [0, kQosTableRange x
+  /// profiled_peak_qps] (add_qos_table); null while unbuilt and when
+  /// `qos` has no interval pass.
+  std::shared_ptr<const LsQosTable> qos_table;
+  double profiled_peak_qps = 0.0;  ///< highest QPS in the profiling data
   FamilyScores qos_accuracy;  ///< hold-out accuracy per family (Fig 6)
   FamilyScores power_r2;      ///< hold-out R^2 per family (Fig 7)
 };
@@ -94,15 +100,33 @@ struct BeModels {
 };
 
 /// Train every paper model family per role, score on a hold-out set, and
-/// deploy the best ("the most suitable one", Section V-C).
+/// deploy the best ("the most suitable one", Section V-C). The LS set
+/// also gets its QoS table (add_qos_table), built on this thread.
 LsModels train_ls_models(const LsProfilingData& data,
                          const TrainerConfig& config);
 BeModels train_be_models(const BeProfilingData& data,
                          const TrainerConfig& config);
 
+/// train_ls_models() without the QoS table, for a caller that builds it
+/// on a pool afterwards (exp::warm_models).
+LsModels fit_ls_models(const LsProfilingData& data,
+                       const TrainerConfig& config);
+
+/// The QoS table covers QPS [0, kQosTableRange x profiled peak].
+inline constexpr double kQosTableRange = 1.1;
+
+/// Build `models.qos_table` for `machine` (the profiling machine), its
+/// slices split across `pool` (nullptr = this thread). A no-op when the
+/// table exists or `models.qos` has no interval pass. Must not run on a
+/// worker of `pool`.
+void add_qos_table(LsModels& models, const MachineSpec& machine,
+                   ThreadPool* pool = nullptr);
+
 /// The model bundle backing one co-location pair's Predictor.
 struct TrainedModels {
   std::shared_ptr<const ml::Classifier> ls_qos;
+  /// Certified answers of ls_qos (LsModels::qos_table); may be null.
+  std::shared_ptr<const LsQosTable> ls_qos_table;
   std::shared_ptr<const ml::Regressor> ls_power;
   std::shared_ptr<const ml::Regressor> be_ipc;
   std::shared_ptr<const ml::Regressor> be_power;

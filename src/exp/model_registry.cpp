@@ -58,18 +58,34 @@ auto slot_for(Map& map, const Key& key, std::uint64_t seed)
   return slot;
 }
 
+/// The LS set's slot with its models fitted; its QoS table may be
+/// pending. Takes the slot's latch, as ls_models_for() does.
+std::shared_ptr<Slot<core::LsModels>> fitted_ls_slot(
+    const LsProfile& ls, const core::TrainerConfig& config) {
+  auto slot = slot_for(g_ls_models, ls.name, config.seed);
+  MutexLock latch(slot->latch);
+  if (!slot->ready) {
+    slot->value =
+        core::fit_ls_models(core::collect_ls_profiling(ls, config), config);
+    slot->ready = true;
+  }
+  return slot;
+}
+
+/// Complete the slot's QoS table on `pool` (nullptr = this thread).
+const core::LsModels& finish_ls_slot(Slot<core::LsModels>& slot,
+                                     const core::TrainerConfig& config,
+                                     ThreadPool* pool) {
+  MutexLock latch(slot.latch);
+  core::add_qos_table(slot.value, config.server.machine, pool);
+  return slot.value;
+}
+
 }  // namespace
 
 const core::LsModels& ls_models_for(const LsProfile& ls,
                                     const core::TrainerConfig& config) {
-  const auto slot = slot_for(g_ls_models, ls.name, config.seed);
-  MutexLock latch(slot->latch);
-  if (!slot->ready) {
-    slot->value =
-        core::train_ls_models(core::collect_ls_profiling(ls, config), config);
-    slot->ready = true;
-  }
-  return slot->value;
+  return finish_ls_slot(*fitted_ls_slot(ls, config), config, nullptr);
 }
 
 const core::BeModels& be_models_for(const BeProfile& be,
@@ -103,8 +119,9 @@ std::shared_ptr<const core::Predictor> predictor_for(
 void warm_models(
     const std::vector<std::pair<const LsProfile*, const BeProfile*>>& pairs,
     ThreadPool* pool, const core::TrainerConfig& config) {
-  // Profile each *service* once, concurrently where a pool is given; the
-  // cheap per-pair predictor assembly then runs sequentially.
+  // Profile each *service* once, concurrently where a pool is given, then
+  // build each LS set's QoS table with its slices split across the pool;
+  // the cheap per-pair predictor assembly then runs sequentially.
   std::vector<const LsProfile*> ls_todo;
   std::vector<const BeProfile*> be_todo;
   std::set<std::string> seen_ls, seen_be;
@@ -117,17 +134,24 @@ void warm_models(
   }
 
   const std::size_t n = ls_todo.size() + be_todo.size();
+  const bool parallel = pool != nullptr && pool->size() > 1;
   const auto train_one = [&](std::size_t i) {
     if (i < ls_todo.size()) {
-      ls_models_for(*ls_todo[i], config);
+      fitted_ls_slot(*ls_todo[i], config);
     } else {
       be_models_for(*be_todo[i - ls_todo.size()], config);
     }
   };
-  if (pool != nullptr && pool->size() > 1 && n > 1) {
+  if (parallel && n > 1) {
     pool->parallel_for(n, train_one);
   } else {
     for (std::size_t i = 0; i < n; ++i) train_one(i);
+  }
+  // The tables are a phase of their own, on this thread: a pool task that
+  // called parallel_for on its own pool would throw (it could deadlock).
+  for (const LsProfile* ls : ls_todo) {
+    finish_ls_slot(*fitted_ls_slot(*ls, config), config,
+                   parallel ? pool : nullptr);
   }
   for (const auto& [ls, be] : pairs) predictor_for(*ls, *be, config);
 }

@@ -33,17 +33,21 @@ std::shared_ptr<const core::Predictor> predictor_for(
     const core::TrainerConfig& config = {});
 
 /// The underlying per-service model sets (with their per-family hold-out
-/// scores, the data of Figs 6-7). Same caching discipline as above.
+/// scores, the data of Figs 6-7). Same caching discipline as above; an
+/// LS set comes with its QoS table, which every predictor of the service
+/// shares.
 const core::LsModels& ls_models_for(const LsProfile& ls,
                                     const core::TrainerConfig& config = {});
 const core::BeModels& be_models_for(const BeProfile& be,
                                     const core::TrainerConfig& config = {});
 
 /// Pre-train every model a set of co-location pairs needs, profiling
-/// distinct services concurrently on `pool` (nullptr = sequential).
-/// Afterwards predictor_for() for any listed pair is a pure cache hit --
-/// the cluster runner warms its fleet's models once here instead of
-/// paying a training campaign inside the first epoch of every node.
+/// distinct services concurrently on `pool` (nullptr = sequential), then
+/// build each LS set's QoS table (core/qos_table.h) with its slices split
+/// across `pool`. Must not run on a worker of `pool`. Afterwards
+/// predictor_for() for any listed pair is a pure cache hit -- the cluster
+/// runner warms its fleet's models once here instead of paying a training
+/// campaign inside the first epoch of every node.
 void warm_models(
     const std::vector<std::pair<const LsProfile*, const BeProfile*>>& pairs,
     ThreadPool* pool = nullptr, const core::TrainerConfig& config = {});

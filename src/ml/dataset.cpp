@@ -129,4 +129,16 @@ std::vector<FeatureRow> StandardScaler::transform(
   return out;
 }
 
+const FeatureRow& scaled_row(const StandardScaler& scaler,
+                             const FeatureRow& row) {
+  if (!scaler.fitted()) throw std::logic_error("StandardScaler: not fitted");
+  if (row.size() != scaler.dim()) {
+    throw std::invalid_argument("StandardScaler::transform: arity mismatch");
+  }
+  thread_local FeatureRow scaled;
+  scaled.resize(row.size());
+  scaler.transform_into(row.data(), scaled.data());
+  return scaled;
+}
+
 }  // namespace sturgeon::ml

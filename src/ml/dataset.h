@@ -66,4 +66,11 @@ class StandardScaler {
   std::vector<double> stddev_;
 };
 
+/// `row` standardized by `scaler` into per-thread storage, valid until
+/// the calling thread's next call: the allocation-free scalar predict
+/// path every model family shares. Same arithmetic as
+/// `scaler.transform(row)`, and the same checks.
+const FeatureRow& scaled_row(const StandardScaler& scaler,
+                             const FeatureRow& row);
+
 }  // namespace sturgeon::ml

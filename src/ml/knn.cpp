@@ -67,7 +67,7 @@ double KnnRegressor::predict_scaled(const FeatureRow& q) const {
 
 double KnnRegressor::predict(const FeatureRow& row) const {
   if (x_.empty()) throw std::logic_error("KnnRegressor: not fitted");
-  return predict_scaled(scaler_.transform(row));
+  return predict_scaled(scaled_row(scaler_, row));
 }
 
 void KnnRegressor::predict_batch(const double* xs, std::size_t n,
@@ -114,7 +114,7 @@ int KnnClassifier::predict_scaled(const FeatureRow& q) const {
 
 int KnnClassifier::predict(const FeatureRow& row) const {
   if (x_.empty()) throw std::logic_error("KnnClassifier: not fitted");
-  return predict_scaled(scaler_.transform(row));
+  return predict_scaled(scaled_row(scaler_, row));
 }
 
 void KnnClassifier::predict_batch(const double* xs, std::size_t n,

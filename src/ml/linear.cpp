@@ -121,7 +121,7 @@ void LassoRegression::fit(const DataSet& data) {
 
 double LassoRegression::predict(const FeatureRow& row) const {
   if (!scaler_.fitted()) throw std::logic_error("Lasso: not fitted");
-  const auto xs = scaler_.transform(row);
+  const FeatureRow& xs = scaled_row(scaler_, row);
   double acc = intercept_;
   for (std::size_t j = 0; j < xs.size(); ++j) acc += coef_[j] * xs[j];
   return acc;

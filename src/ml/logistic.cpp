@@ -65,7 +65,7 @@ void LogisticRegression::fit(const std::vector<FeatureRow>& x,
 
 double LogisticRegression::predict_proba(const FeatureRow& row) const {
   if (!scaler_.fitted()) throw std::logic_error("Logistic: not fitted");
-  const auto xs = scaler_.transform(row);
+  const FeatureRow& xs = scaled_row(scaler_, row);
   double z = intercept_;
   for (std::size_t j = 0; j < xs.size(); ++j) z += coef_[j] * xs[j];
   return sigmoid(z);

@@ -114,6 +114,45 @@ double MlpNet::infer(const double* row) const {
   return z;
 }
 
+Interval MlpNet::bounds(const double* lo, const double* hi) const {
+  if (!initialized()) throw std::logic_error("MlpNet: not initialized");
+  // Per layer, a lower and an upper activation buffer, ping-ponged.
+  const std::size_t w = max_hidden_width_;
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < 4 * w) scratch.resize(4 * w);
+  const double* in_lo = lo;
+  const double* in_hi = hi;
+  std::size_t in_dim = in_dims_[0];
+  const auto neuron = [&](std::size_t l, std::size_t j) {
+    Interval z{biases_[l][j], biases_[l][j]};
+    const double* wrow = &weights_[l][j * in_dim];
+    for (std::size_t i = 0; i < in_dim; ++i) {
+      if (wrow[i] >= 0.0) {
+        z.lo += wrow[i] * in_lo[i];
+        z.hi += wrow[i] * in_hi[i];
+      } else {
+        z.lo += wrow[i] * in_hi[i];
+        z.hi += wrow[i] * in_lo[i];
+      }
+    }
+    return z;
+  };
+  const std::size_t out_layer = weights_.size() - 1;
+  for (std::size_t l = 0; l < out_layer; ++l) {
+    double* act_lo = scratch.data() + (l % 2) * 2 * w;
+    double* act_hi = act_lo + w;
+    for (std::size_t j = 0; j < out_dims_[l]; ++j) {
+      const Interval z = neuron(l, j);
+      act_lo[j] = std::tanh(z.lo);
+      act_hi[j] = std::tanh(z.hi);
+    }
+    in_lo = act_lo;
+    in_hi = act_hi;
+    in_dim = out_dims_[l];
+  }
+  return neuron(out_layer, 0);
+}
+
 void MlpNet::forward_batch(const double* xs, std::size_t n,
                            double* out) const {
   if (!initialized()) throw std::logic_error("MlpNet: not initialized");
@@ -199,18 +238,6 @@ double sigmoid(double z) {
   const double e = std::exp(z);
   return e / (1.0 + e);
 }
-
-/// `row` standardized by `scaler` into per-thread storage (valid until
-/// the thread's next call), for the allocation-free scalar predict path.
-const double* scaled_row(const StandardScaler& scaler, const FeatureRow& row) {
-  if (row.size() != scaler.dim()) {
-    throw std::invalid_argument("StandardScaler::transform: arity mismatch");
-  }
-  thread_local std::vector<double> scaled;
-  scaled.resize(row.size());
-  scaler.transform_into(row.data(), scaled.data());
-  return scaled.data();
-}
 }  // namespace
 
 MlpRegressor::MlpRegressor(MlpParams params) : params_(std::move(params)) {
@@ -261,7 +288,8 @@ void MlpRegressor::fit(const DataSet& data) {
 
 double MlpRegressor::predict(const FeatureRow& row) const {
   if (!scaler_.fitted()) throw std::logic_error("MlpRegressor: not fitted");
-  const double v = net_.infer(scaled_row(scaler_, row)) * y_scale_ + y_mean_;
+  const double v =
+      net_.infer(scaled_row(scaler_, row).data()) * y_scale_ + y_mean_;
   STURGEON_DCHECK(std::isfinite(v), "MlpRegressor: non-finite prediction");
   return v;
 }
@@ -325,9 +353,40 @@ void MlpClassifier::fit(const std::vector<FeatureRow>& x,
   }
 }
 
-double MlpClassifier::predict_proba(const FeatureRow& row) const {
+double MlpClassifier::logit(const FeatureRow& row) const {
   if (!scaler_.fitted()) throw std::logic_error("MlpClassifier: not fitted");
-  return sigmoid(net_.infer(scaled_row(scaler_, row)));
+  return net_.infer(scaled_row(scaler_, row).data());
+}
+
+double MlpClassifier::predict_proba(const FeatureRow& row) const {
+  return sigmoid(logit(row));
+}
+
+Interval MlpClassifier::logit_bounds(const FeatureRow& lo,
+                                     const FeatureRow& hi) const {
+  if (!scaler_.fitted()) throw std::logic_error("MlpClassifier: not fitted");
+  if (lo.size() != scaler_.dim() || hi.size() != scaler_.dim()) {
+    throw std::invalid_argument("MlpClassifier::logit_bounds: arity");
+  }
+  for (std::size_t j = 0; j < lo.size(); ++j) {
+    STURGEON_DCHECK(lo[j] <= hi[j], "logit_bounds: empty box in feature "
+                                        << j << ": " << lo[j] << " > "
+                                        << hi[j]);
+  }
+  thread_local std::vector<double> scaled_lo, scaled_hi;
+  scaled_lo.resize(lo.size());
+  scaled_hi.resize(hi.size());
+  scaler_.transform_into(lo.data(), scaled_lo.data());
+  scaler_.transform_into(hi.data(), scaled_hi.data());
+  return net_.bounds(scaled_lo.data(), scaled_hi.data());
+}
+
+std::optional<int> MlpClassifier::box_label(const FeatureRow& lo,
+                                            const FeatureRow& hi) const {
+  const Interval z = logit_bounds(lo, hi);
+  if (z.lo > kBoxMargin) return 1;
+  if (z.hi < -kBoxMargin) return 0;
+  return std::nullopt;
 }
 
 int MlpClassifier::predict(const FeatureRow& row) const {

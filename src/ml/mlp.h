@@ -19,6 +19,12 @@ struct MlpParams {
   std::uint64_t seed = 23;
 };
 
+/// Closed interval [lo, hi] of one real value.
+struct Interval {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
 namespace detail {
 /// Fully-connected network used by both public wrappers. All hidden
 /// activations are tanh; the output activation is the wrapper's concern.
@@ -38,6 +44,14 @@ class MlpNet {
   /// the widest layer once and is reused, so steady-state calls allocate
   /// nothing. Safe to call concurrently.
   double infer(const double* row) const;
+
+  /// Interval bound propagation: bounds on infer() over every already
+  /// scaled row in the box lo[i] <= x[i] <= hi[i]. Each neuron's bounds
+  /// take, term by term, the end of the input interval that bounds its
+  /// product, summed in infer()'s order, and tanh is monotone; so a
+  /// point box [x, x] returns infer(x) as both bounds. Per-thread
+  /// scratch, as infer().
+  Interval bounds(const double* lo, const double* hi) const;
 
   /// Batched forward over `n` densely packed (already scaled) rows; writes
   /// the n pre-activation outputs. Each layer is one matrix-matrix product,
@@ -97,6 +111,26 @@ class MlpClassifier : public Classifier {
   std::string name() const override { return "MlpClassifier"; }
 
   double predict_proba(const FeatureRow& row) const;
+
+  /// The output pre-activation z that predict() thresholds:
+  /// predict(row) is sigmoid(z) >= 0.5.
+  double logit(const FeatureRow& row) const;
+
+  /// Bounds on logit() over the box lo[j] <= x[j] <= hi[j] (unscaled
+  /// features). Standardization is monotone in each feature, so the box
+  /// maps inside the box of its scaled corners.
+  Interval logit_bounds(const FeatureRow& lo, const FeatureRow& hi) const;
+
+  /// 1 when the logit's lower bound clears +kBoxMargin, 0 when its upper
+  /// bound clears -kBoxMargin, otherwise nothing proven.
+  std::optional<int> box_label(const FeatureRow& lo,
+                               const FeatureRow& hi) const override;
+  bool has_interval_pass() const override { return true; }
+
+  /// Margin the logit bounds must clear. It dwarfs the rounding error of
+  /// the forward pass and of std::tanh, and keeps the answer away from
+  /// z ~ 0, where sigmoid(z) rounds to exactly 0.5.
+  static constexpr double kBoxMargin = 1e-9;
 
  private:
   MlpParams params_;

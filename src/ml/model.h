@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,16 @@ class Classifier {
 
   /// Convenience overload; flattens and forwards to the strided batch.
   std::vector<int> predict_batch(const std::vector<FeatureRow>& x) const;
+
+  /// Interval pass: the label predict() provably returns for every row x
+  /// with lo[j] <= x[j] <= hi[j] in each feature, or std::nullopt when
+  /// nothing is proven. The default proves nothing; a family that
+  /// overrides it also overrides has_interval_pass().
+  virtual std::optional<int> box_label(const FeatureRow& /*lo*/,
+                                       const FeatureRow& /*hi*/) const {
+    return std::nullopt;
+  }
+  virtual bool has_interval_pass() const { return false; }
 };
 
 using RegressorPtr = std::unique_ptr<Regressor>;

@@ -61,7 +61,7 @@ void SvmClassifier::fit(const std::vector<FeatureRow>& x,
 
 double SvmClassifier::decision_function(const FeatureRow& row) const {
   if (!scaler_.fitted()) throw std::logic_error("SvmClassifier: not fitted");
-  const auto xs = scaler_.transform(row);
+  const FeatureRow& xs = scaled_row(scaler_, row);
   double z = b_;
   for (std::size_t j = 0; j < xs.size(); ++j) z += w_[j] * xs[j];
   return z;
@@ -144,7 +144,7 @@ void SvRegressor::fit(const DataSet& data) {
 
 double SvRegressor::predict(const FeatureRow& row) const {
   if (!scaler_.fitted()) throw std::logic_error("SvRegressor: not fitted");
-  const auto xs = scaler_.transform(row);
+  const FeatureRow& xs = scaled_row(scaler_, row);
   double z = b_;
   for (std::size_t j = 0; j < xs.size(); ++j) z += w_[j] * xs[j];
   return z * y_scale_ + y_mean_;

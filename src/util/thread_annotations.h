@@ -13,18 +13,17 @@
 // test suite never schedules.
 //
 // Under compilers without the analysis (gcc) every macro expands to
-// nothing and the wrapper types below degrade to plain std::mutex /
-// std::shared_mutex behavior, so annotated code builds identically
-// everywhere. New code must use these wrappers instead of raw std
-// mutexes: lint rule SL009 (tools/lint.py) rejects raw std::mutex /
-// std::shared_mutex members in src/ and requires every wrapper member to
-// guard at least one STURGEON_GUARDED_BY field or carry an explicit
+// nothing and the wrapper types below degrade to plain std::mutex
+// behavior, so annotated code builds identically everywhere. New code
+// must use these wrappers instead of raw std mutexes: lint rule SL009
+// (tools/lint.py) rejects raw std::mutex / std::shared_mutex members in
+// src/ and requires every wrapper member to guard at least one
+// STURGEON_GUARDED_BY field or carry an explicit
 // `// lint: unguarded(<reason>)` waiver. See DESIGN.md section 10.
 #pragma once
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__) && defined(__has_attribute)
 #if __has_attribute(capability)
@@ -43,26 +42,18 @@
 #define STURGEON_GUARDED_BY(x) STURGEON_THREAD_ANNOTATION(guarded_by(x))
 /// Pointee (not the pointer) is protected by the named capability.
 #define STURGEON_PT_GUARDED_BY(x) STURGEON_THREAD_ANNOTATION(pt_guarded_by(x))
-/// Function acquires the capability (exclusive / shared).
+/// Function acquires the capability.
 #define STURGEON_ACQUIRE(...) \
   STURGEON_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define STURGEON_ACQUIRE_SHARED(...) \
-  STURGEON_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 /// Function releases the capability.
 #define STURGEON_RELEASE(...) \
   STURGEON_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define STURGEON_RELEASE_SHARED(...) \
-  STURGEON_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 /// Function acquires the capability iff it returns the given value.
 #define STURGEON_TRY_ACQUIRE(...) \
   STURGEON_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define STURGEON_TRY_ACQUIRE_SHARED(...) \
-  STURGEON_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
-/// Caller must already hold the capability (exclusive / shared).
+/// Caller must already hold the capability.
 #define STURGEON_REQUIRES(...) \
   STURGEON_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define STURGEON_REQUIRES_SHARED(...) \
-  STURGEON_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 /// Caller must NOT hold the capability (deadlock prevention: the
 /// function acquires it itself).
 #define STURGEON_EXCLUDES(...) \
@@ -93,28 +84,6 @@ class STURGEON_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// std::shared_mutex with the capability attribute (exclusive writer,
-/// shared readers).
-class STURGEON_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() STURGEON_ACQUIRE() { mu_.lock(); }
-  void unlock() STURGEON_RELEASE() { mu_.unlock(); }
-  bool try_lock() STURGEON_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  void lock_shared() STURGEON_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() STURGEON_RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool try_lock_shared() STURGEON_TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// std::lock_guard analogue over Mutex, visible to the analysis.
 class STURGEON_SCOPED_CAPABILITY MutexLock {
  public:
@@ -128,37 +97,6 @@ class STURGEON_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Exclusive (writer) scope over a SharedMutex.
-class STURGEON_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) STURGEON_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~WriterMutexLock() STURGEON_RELEASE() { mu_.unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Shared (reader) scope over a SharedMutex.
-class STURGEON_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) STURGEON_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderMutexLock() STURGEON_RELEASE() { mu_.unlock_shared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable usable with the annotated Mutex. wait() declares

@@ -8,6 +8,11 @@
 
 namespace sturgeon {
 
+namespace {
+/// The pool whose worker_loop this thread runs; null off the pools.
+thread_local const ThreadPool* tls_worker_of = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -35,6 +40,7 @@ void ThreadPool::shutdown() {
 }
 
 void ThreadPool::worker_loop() {
+  tls_worker_of = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -51,6 +57,13 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   STURGEON_CHECK(fn != nullptr, "parallel_for: null body");
+  // The caller runs no blocks; it only waits. A worker of this pool that
+  // waited here would hold its thread while its blocks queue behind it,
+  // and once every worker did so, none would run.
+  if (tls_worker_of == this) {
+    throw std::logic_error(
+        "ThreadPool::parallel_for called from one of the pool's own workers");
+  }
   if (n == 0) return;
   const std::size_t nworkers = size();
   if (nworkers == 0) {

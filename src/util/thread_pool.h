@@ -70,7 +70,10 @@ class ThreadPool {
   /// Run fn(i) for i in [0, n), blocking until all complete. Work is
   /// block-partitioned; if blocks throw, the exception from the
   /// lowest-indexed failing block is rethrown after every block has
-  /// finished (so no block can outlive `fn` or its captures).
+  /// finished (so no block can outlive `fn` or its captures). The caller
+  /// only waits, so a call from one of this pool's own workers could
+  /// deadlock: it throws std::logic_error before queuing any block. A
+  /// worker may still call parallel_for on a different pool.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn)
       STURGEON_EXCLUDES(mu_);
 

@@ -28,10 +28,13 @@
 #include "core/trainer.h"
 #include "fake_models.h"
 #include "sim/server.h"
+#include "small_config.h"
 #include "util/rng.h"
 
 namespace sturgeon::core {
 namespace {
+
+using testing::small_config;
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
@@ -89,18 +92,6 @@ TEST(SearchGap, FakeRulesSearchIsExactOnRandomMachines) {
   // The draws must exercise both outcomes.
   EXPECT_GT(feasible, 100);
   EXPECT_GT(infeasible, 20);
-}
-
-// The small-campaign memcached + raytrace pair, trained as
-// search_oracle_test trains it.
-TrainerConfig small_config() {
-  TrainerConfig cfg;
-  cfg.ls_samples = 120;
-  cfg.ls_boundary_searches = 25;
-  cfg.be_samples = 100;
-  cfg.intervals_per_sample = 2;
-  cfg.seed = 0x5151;
-  return cfg;
 }
 
 struct BandStats {

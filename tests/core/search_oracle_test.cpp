@@ -7,13 +7,16 @@
 // (ls_qos_ok / total_power_w / be_throughput). ConfigSearch::search,
 // ConfigSearch::exhaustive and ResourceBalancer::step must reproduce both
 // bit for bit: whatever the runtime hoists or tabulates, it may never
-// change an answer.
+// change an answer. On the trained pair the predictor answers QoS from
+// its certified table; those tests also check that the table, not the
+// model fallback, answered the QoS questions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,10 +28,13 @@
 #include "core/trainer.h"
 #include "fake_models.h"
 #include "sim/server.h"
+#include "small_config.h"
 #include "util/rng.h"
 
 namespace sturgeon::core {
 namespace {
+
+using testing::small_config;
 
 const MachineSpec m = MachineSpec::xeon_e5_2630_v4();
 
@@ -77,6 +83,41 @@ struct PredictorQueries {
   }
   double total_power_w(double qps, const Partition& p) const {
     return predictor.total_power_w(qps, p);
+  }
+};
+
+/// Forwards to `inner` and tallies how the predictor answers each QoS
+/// question asked: from its table, or with a model call. The reference
+/// searches ask the runtime's QoS questions in the runtime's order, so
+/// the tally is the table's share of the runtime's QoS queries.
+template <typename Oracle>
+struct QosTally {
+  const Oracle& inner;
+  const Predictor& predictor;
+  mutable std::uint64_t queries = 0;
+  mutable std::uint64_t model_calls = 0;
+
+  bool qos_ok(double qps, const AppSlice& s) const {
+    ++queries;
+    predictor.ls_qos_ok(qps, s, &model_calls);
+    return inner.qos_ok(qps, s);
+  }
+  double be_throughput(const AppSlice& s) const {
+    return inner.be_throughput(s);
+  }
+  double total_power_w(double qps, const Partition& p) const {
+    return inner.total_power_w(qps, p);
+  }
+
+  /// At least 99% of the QoS queries came from the table.
+  void expect_table_answered_most() const {
+    ASSERT_NE(predictor.qos_table(), nullptr);
+    ASSERT_GT(queries, 0u);
+    const double answered =
+        1.0 - static_cast<double>(model_calls) / static_cast<double>(queries);
+    std::fprintf(stdout, "QoS table answered %.4f%% of %llu queries\n",
+                100.0 * answered, static_cast<unsigned long long>(queries));
+    EXPECT_GE(answered, 0.99);
   }
 };
 
@@ -336,16 +377,6 @@ void expect_runtime_matches(const Predictor& predictor, const Oracle& ref,
   EXPECT_GT(harvests, 0);  // the grid must reach the balancer
 }
 
-TrainerConfig small_config() {
-  TrainerConfig cfg;
-  cfg.ls_samples = 120;
-  cfg.ls_boundary_searches = 25;
-  cfg.be_samples = 100;
-  cfg.intervals_per_sample = 2;
-  cfg.seed = 0x5151;
-  return cfg;
-}
-
 struct TrainedPair {
   TrainedModels models;
   double budget_w = 0.0;
@@ -404,19 +435,23 @@ TEST(SearchOracle, RuntimeMatchesPredictorQueriesOnFakeModels) {
 TEST(SearchOracle, RuntimeMatchesScalarModelsOnTrainedPair) {
   const TrainedPair& pair = trained_pair();
   const Predictor predictor(m, pair.models);
-  expect_runtime_matches(predictor, ScalarModels{m, pair.models},
-                         trained_budgets(), 0.05 * pair.peak_qps,
-                         0.95 * pair.peak_qps, 0x0b22,
+  const ScalarModels scalar{m, pair.models};
+  const QosTally<ScalarModels> ref{scalar, predictor};
+  expect_runtime_matches(predictor, ref, trained_budgets(),
+                         0.05 * pair.peak_qps, 0.95 * pair.peak_qps, 0x0b22,
                          /*exhaustive_loads=*/1);
+  ref.expect_table_answered_most();
 }
 
 TEST(SearchOracle, RuntimeMatchesPredictorQueriesOnTrainedPair) {
   const TrainedPair& pair = trained_pair();
   const Predictor predictor(m, pair.models);
-  expect_runtime_matches(predictor, PredictorQueries{predictor},
-                         trained_budgets(), 0.05 * pair.peak_qps,
-                         0.95 * pair.peak_qps, 0x0b22,
+  const PredictorQueries queries{predictor};
+  const QosTally<PredictorQueries> ref{queries, predictor};
+  expect_runtime_matches(predictor, ref, trained_budgets(),
+                         0.05 * pair.peak_qps, 0.95 * pair.peak_qps, 0x0b22,
                          /*exhaustive_loads=*/1);
+  ref.expect_table_answered_most();
 }
 
 }  // namespace

@@ -11,20 +11,12 @@
 namespace sturgeon {
 namespace {
 
-// Runtime ownership probes. The analysis is waived: these deliberately
-// acquire-and-release in one expression to observe contention, a dance
+// Runtime ownership probe. The analysis is waived: it deliberately
+// acquires and releases in one expression to observe contention, a dance
 // the static lock-state tracking is designed to reject.
 bool try_lock_now(Mutex& mu) STURGEON_NO_THREAD_SAFETY_ANALYSIS {
   if (mu.try_lock()) {
     mu.unlock();
-    return true;
-  }
-  return false;
-}
-
-bool try_lock_shared_now(SharedMutex& mu) STURGEON_NO_THREAD_SAFETY_ANALYSIS {
-  if (mu.try_lock_shared()) {
-    mu.unlock_shared();
     return true;
   }
   return false;
@@ -60,30 +52,6 @@ TEST(ThreadAnnotationsTest, TryLockReflectsOwnership) {
   MutexLock lock(mu);
   std::thread contender([&] { EXPECT_FALSE(try_lock_now(mu)); });
   contender.join();
-}
-
-struct SharedSlot {
-  SharedMutex mu;
-  int value STURGEON_GUARDED_BY(mu) = 41;
-};
-
-TEST(ThreadAnnotationsTest, SharedMutexAllowsParallelReaders) {
-  SharedSlot slot;
-  {
-    WriterMutexLock lock(slot.mu);
-    slot.value = 42;
-  }
-  ReaderMutexLock first(slot.mu);
-  // A second shared acquisition must succeed while the first is held.
-  EXPECT_TRUE(try_lock_shared_now(slot.mu));
-  EXPECT_EQ(slot.value, 42);
-}
-
-TEST(ThreadAnnotationsTest, SharedMutexWriterExcludesReaders) {
-  SharedMutex mu;
-  WriterMutexLock lock(mu);
-  std::thread reader([&] { EXPECT_FALSE(try_lock_shared_now(mu)); });
-  reader.join();
 }
 
 struct Gate {

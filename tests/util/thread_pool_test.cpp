@@ -149,5 +149,41 @@ TEST(ThreadPool, ParallelForWaitsForAllBlocksBeforeRethrow) {
   }
 }
 
+TEST(ThreadPool, NestedParallelForOnSamePoolThrows) {
+  // The caller of parallel_for only waits. Were a worker to wait on
+  // blocks of its own pool, the pool would hang once every worker did, so
+  // the nested call throws before it queues a block.
+  ThreadPool pool(2);
+  std::atomic<int> inner_runs{0};
+  EXPECT_THROW(pool.parallel_for(2,
+                                 [&](std::size_t) {
+                                   pool.parallel_for(2, [&](std::size_t) {
+                                     inner_runs.fetch_add(1);
+                                   });
+                                 }),
+               std::logic_error);
+  EXPECT_EQ(inner_runs.load(), 0);
+  auto f = pool.submit([&] { pool.parallel_for(1, [](std::size_t) {}); });
+  EXPECT_THROW(f.get(), std::logic_error);
+
+  // The pool stays usable, and its caller thread may still call it.
+  std::atomic<int> runs{0};
+  pool.parallel_for(5, [&](std::size_t) { runs.fetch_add(1); });
+  EXPECT_EQ(runs.load(), 5);
+}
+
+TEST(ThreadPool, NestedParallelForOnOtherPoolRuns) {
+  ThreadPool outer(2);
+  ThreadPool inner(2);
+  constexpr std::size_t kInner = 8;
+  std::vector<std::atomic<int>> hits(2 * kInner);
+  outer.parallel_for(2, [&](std::size_t i) {
+    inner.parallel_for(kInner, [&](std::size_t j) {
+      hits[i * kInner + j].fetch_add(1);
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 }  // namespace
 }  // namespace sturgeon

@@ -26,7 +26,7 @@ Rules:
          snapshot, or waive with `// lint: unordered-ok(<reason>)`
   SL009  every mutex member in src/ must state what it guards: raw
          std::mutex/std::shared_mutex members are rejected (use the
-         annotated sturgeon::Mutex/SharedMutex from
+         annotated sturgeon::Mutex from
          util/thread_annotations.h), and each annotated mutex must have
          at least one STURGEON_GUARDED_BY(<mutex>) field in the same
          file or an explicit `// lint: unguarded(<reason>)` waiver on
@@ -280,7 +280,7 @@ class Linter:
                         self.report(
                             path, lineno, "SL009",
                             f"raw {mtype} member `{name}`: use the "
-                            "annotated sturgeon::Mutex/SharedMutex from "
+                            "annotated sturgeon::Mutex from "
                             "util/thread_annotations.h so the analyze "
                             "build can check the lock discipline")
                     continue
