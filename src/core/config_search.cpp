@@ -130,7 +130,7 @@ std::optional<int> ConfigSearch::max_be_freq(double ls_w, AppSlice be) const {
 }
 
 std::optional<Candidate> ConfigSearch::evaluate_candidate(
-    double qps_real, int c1, std::uint64_t& calls) const {
+    double qps_real, int c1, std::uint64_t& calls, bool& over_budget) const {
   const MachineSpec& m = predictor_.machine();
   AppSlice ls{c1, m.max_freq_level(), m.llc_ways};
   // Just-enough ways, then just-enough frequency (Section V-B order).
@@ -143,7 +143,10 @@ std::optional<Candidate> ConfigSearch::evaluate_candidate(
   // The LS slice is fixed from here on: predict its power once.
   const double ls_w = predictor_.ls_power_w(qps_real, ls, &calls);
   const auto f2 = max_be_freq(ls_w, be);
-  if (!f2) return std::nullopt;  // power infeasible even at the bottom P-state
+  if (!f2) {  // power infeasible even at the bottom P-state
+    over_budget = true;
+    return std::nullopt;
+  }
   be.freq_level = *f2;
 
   Candidate cand;
@@ -174,8 +177,9 @@ SearchResult ConfigSearch::search(double qps_real) const {
   // gives the BE side fewer cores but (potentially) a higher frequency.
   result.candidates.reserve(
       static_cast<std::size_t>(m.num_cores - *c1_min));
+  bool over_budget = false;
   for (int c1 = *c1_min; c1 < m.num_cores; ++c1) {
-    const auto cand = evaluate_candidate(qps_real, c1, calls);
+    const auto cand = evaluate_candidate(qps_real, c1, calls, over_budget);
     if (!cand) continue;
     result.candidates.push_back(*cand);
 
@@ -190,6 +194,7 @@ SearchResult ConfigSearch::search(double qps_real) const {
     // further cannot raise its frequency any more: stop (Section V-B).
     if (cand->partition.be.freq_level == m.max_freq_level()) break;
   }
+  result.power_fallback = !result.feasible && over_budget;
 
   annotate_sweep(span, result);
   check_search_result(m, result, budget_w_, "ConfigSearch::search");

@@ -38,6 +38,10 @@ struct SearchResult {
   double predicted_throughput = 0.0;
   double predicted_power_w = 0.0;
   std::vector<Candidate> candidates;      ///< all feasible candidates seen
+  /// True when some LS core count meets the QoS target but no candidate
+  /// is feasible and at least one was rejected by the power budget alone
+  /// (no BE P-state fits it): the all-to-LS fallback under a cap.
+  bool power_fallback = false;
   /// Model evaluations this search caused: 1 per LS power query and per
   /// LS QoS query the QoS table does not answer, none for a table
   /// lookup. Counted by the search itself, so concurrent
@@ -89,9 +93,10 @@ class ConfigSearch {
   /// Evaluate one candidate LS core count: just-enough ways and
   /// frequency, BE complement, budget-limited F2, predicted throughput
   /// and power; nullopt when the candidate leaves nothing for the BE app
-  /// or busts the budget.
+  /// or busts the budget (and then sets `over_budget`).
   std::optional<Candidate> evaluate_candidate(double qps_real, int c1,
-                                              std::uint64_t& calls) const;
+                                              std::uint64_t& calls,
+                                              bool& over_budget) const;
 
   const Predictor& predictor_;
   double budget_w_;

@@ -85,6 +85,7 @@ void SturgeonController::rebind_instruments() {
   search_.set_tracer(&telemetry().tracer());
   balancer_.bind_telemetry(&metrics, &telemetry().tracer());
   model_calls_counter_ = nullptr;
+  power_fallbacks_counter_ = nullptr;
   power_cap_gauge_ = nullptr;
   reserve_cores_gauge_ = nullptr;
   reserve_ways_gauge_ = nullptr;
@@ -117,6 +118,7 @@ void SturgeonController::reset() {
   searches_counter_->reset();
   balancer_actions_counter_->reset();
   if (model_calls_counter_ != nullptr) model_calls_counter_->reset();
+  if (power_fallbacks_counter_ != nullptr) power_fallbacks_counter_->reset();
 }
 
 Partition SturgeonController::apply_reserves(Partition p) const {
@@ -254,6 +256,11 @@ Partition SturgeonController::decide(const sim::ServerTelemetry& sample,
     searches_counter_->inc();
     bound(model_calls_counter_, telemetry().metrics(), "controller.model_calls")
         .add(result.model_invocations);
+    if (result.power_fallback) {
+      bound(power_fallbacks_counter_, telemetry().metrics(),
+            "controller.power_fallbacks")
+          .inc();
+    }
     result.best = apply_reserves(result.best);
     if (span.active()) {
       span.attr("feasible", result.feasible)

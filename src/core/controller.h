@@ -22,7 +22,10 @@
 // attached TelemetryContext -- counters "controller.searches",
 // "controller.balancer_actions", "controller.decisions",
 // "controller.model_calls" (the model evaluations this node's searches
-// caused), and gauges for the compensation reserves and the power cap.
+// caused), "controller.power_fallbacks" (searches that kept all-to-LS
+// because every candidate busted the power budget,
+// SearchResult::power_fallback), and gauges for the compensation
+// reserves and the power cap.
 // searches_run()/balancer_actions() read those registry instruments.
 #pragma once
 
@@ -129,6 +132,7 @@ class SturgeonController : public Policy {
   // Looked up on first use after each attach, so a controller that never
   // searches, decides or re-caps registers nothing for them.
   telemetry::Counter* model_calls_counter_ = nullptr;
+  telemetry::Counter* power_fallbacks_counter_ = nullptr;
   telemetry::Gauge* power_cap_gauge_ = nullptr;
   telemetry::Gauge* reserve_cores_gauge_ = nullptr;
   telemetry::Gauge* reserve_ways_gauge_ = nullptr;

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/check.h"
+
 namespace sturgeon::ml {
 
 void DataSet::add(FeatureRow row, double target) {
@@ -139,6 +141,25 @@ const FeatureRow& scaled_row(const StandardScaler& scaler,
   scaled.resize(row.size());
   scaler.transform_into(row.data(), scaled.data());
   return scaled;
+}
+
+ScaledBox scaled_box(const StandardScaler& scaler, const FeatureRow& lo,
+                     const FeatureRow& hi) {
+  if (!scaler.fitted()) throw std::logic_error("StandardScaler: not fitted");
+  if (lo.size() != scaler.dim() || hi.size() != scaler.dim()) {
+    throw std::invalid_argument("StandardScaler::transform: arity mismatch");
+  }
+  for (std::size_t j = 0; j < lo.size(); ++j) {
+    STURGEON_DCHECK(lo[j] <= hi[j], "scaled_box: empty box in feature "
+                                        << j << ": " << lo[j] << " > "
+                                        << hi[j]);
+  }
+  thread_local FeatureRow scaled_lo, scaled_hi;
+  scaled_lo.resize(lo.size());
+  scaled_hi.resize(hi.size());
+  scaler.transform_into(lo.data(), scaled_lo.data());
+  scaler.transform_into(hi.data(), scaled_hi.data());
+  return {scaled_lo, scaled_hi};
 }
 
 }  // namespace sturgeon::ml

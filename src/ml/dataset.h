@@ -73,4 +73,16 @@ class StandardScaler {
 const FeatureRow& scaled_row(const StandardScaler& scaler,
                              const FeatureRow& row);
 
+/// The two corners of the box lo[j] <= x[j] <= hi[j] standardized by
+/// `scaler` into per-thread storage of their own, valid until the calling
+/// thread's next call. Standardization is monotone in each feature, so
+/// every row of the box scales into the box of the scaled corners: the
+/// first step of every interval pass. Same checks as scaled_row().
+struct ScaledBox {
+  const FeatureRow& lo;
+  const FeatureRow& hi;
+};
+ScaledBox scaled_box(const StandardScaler& scaler, const FeatureRow& lo,
+                     const FeatureRow& hi);
+
 }  // namespace sturgeon::ml

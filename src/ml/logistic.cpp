@@ -1,5 +1,6 @@
 #include "ml/logistic.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -63,12 +64,34 @@ void LogisticRegression::fit(const std::vector<FeatureRow>& x,
   }
 }
 
-double LogisticRegression::predict_proba(const FeatureRow& row) const {
+double LogisticRegression::logit(const FeatureRow& row) const {
   if (!scaler_.fitted()) throw std::logic_error("Logistic: not fitted");
   const FeatureRow& xs = scaled_row(scaler_, row);
   double z = intercept_;
   for (std::size_t j = 0; j < xs.size(); ++j) z += coef_[j] * xs[j];
-  return sigmoid(z);
+  return z;
+}
+
+double LogisticRegression::predict_proba(const FeatureRow& row) const {
+  return sigmoid(logit(row));
+}
+
+Interval LogisticRegression::logit_bounds(const FeatureRow& lo,
+                                          const FeatureRow& hi) const {
+  const ScaledBox box = scaled_box(scaler_, lo, hi);
+  Interval z{intercept_, intercept_};
+  for (std::size_t j = 0; j < coef_.size(); ++j) {
+    const double a = coef_[j] * box.lo[j];
+    const double b = coef_[j] * box.hi[j];
+    z.lo += std::min(a, b);
+    z.hi += std::max(a, b);
+  }
+  return z;
+}
+
+std::optional<int> LogisticRegression::box_label(const FeatureRow& lo,
+                                                 const FeatureRow& hi) const {
+  return logit_box_label(logit_bounds(lo, hi));
 }
 
 int LogisticRegression::predict(const FeatureRow& row) const {

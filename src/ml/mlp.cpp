@@ -364,29 +364,13 @@ double MlpClassifier::predict_proba(const FeatureRow& row) const {
 
 Interval MlpClassifier::logit_bounds(const FeatureRow& lo,
                                      const FeatureRow& hi) const {
-  if (!scaler_.fitted()) throw std::logic_error("MlpClassifier: not fitted");
-  if (lo.size() != scaler_.dim() || hi.size() != scaler_.dim()) {
-    throw std::invalid_argument("MlpClassifier::logit_bounds: arity");
-  }
-  for (std::size_t j = 0; j < lo.size(); ++j) {
-    STURGEON_DCHECK(lo[j] <= hi[j], "logit_bounds: empty box in feature "
-                                        << j << ": " << lo[j] << " > "
-                                        << hi[j]);
-  }
-  thread_local std::vector<double> scaled_lo, scaled_hi;
-  scaled_lo.resize(lo.size());
-  scaled_hi.resize(hi.size());
-  scaler_.transform_into(lo.data(), scaled_lo.data());
-  scaler_.transform_into(hi.data(), scaled_hi.data());
-  return net_.bounds(scaled_lo.data(), scaled_hi.data());
+  const ScaledBox box = scaled_box(scaler_, lo, hi);
+  return net_.bounds(box.lo.data(), box.hi.data());
 }
 
 std::optional<int> MlpClassifier::box_label(const FeatureRow& lo,
                                             const FeatureRow& hi) const {
-  const Interval z = logit_bounds(lo, hi);
-  if (z.lo > kBoxMargin) return 1;
-  if (z.hi < -kBoxMargin) return 0;
-  return std::nullopt;
+  return logit_box_label(logit_bounds(lo, hi));
 }
 
 int MlpClassifier::predict(const FeatureRow& row) const {

@@ -19,12 +19,6 @@ struct MlpParams {
   std::uint64_t seed = 23;
 };
 
-/// Closed interval [lo, hi] of one real value.
-struct Interval {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
 namespace detail {
 /// Fully-connected network used by both public wrappers. All hidden
 /// activations are tanh; the output activation is the wrapper's concern.
@@ -126,11 +120,6 @@ class MlpClassifier : public Classifier {
   std::optional<int> box_label(const FeatureRow& lo,
                                const FeatureRow& hi) const override;
   bool has_interval_pass() const override { return true; }
-
-  /// Margin the logit bounds must clear. It dwarfs the rounding error of
-  /// the forward pass and of std::tanh, and keeps the answer away from
-  /// z ~ 0, where sigmoid(z) rounds to exactly 0.5.
-  static constexpr double kBoxMargin = 1e-9;
 
  private:
   MlpParams params_;

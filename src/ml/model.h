@@ -44,6 +44,12 @@ class Regressor {
   std::vector<double> predict_batch(const std::vector<FeatureRow>& x) const;
 };
 
+/// Closed interval [lo, hi] of one real value.
+struct Interval {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
 /// Integer-label classifier (LS QoS met / violated, paper Section V-C).
 class Classifier {
  public:
@@ -73,6 +79,21 @@ class Classifier {
     return std::nullopt;
   }
   virtual bool has_interval_pass() const { return false; }
+
+  /// Margin a logit's bounds must clear before a family that predicts
+  /// sigmoid(z) >= 0.5 claims a label. It dwarfs the rounding error of
+  /// a forward pass (an MLP's std::tanh included), and keeps the answer
+  /// away from z ~ 0, where sigmoid(z) rounds to exactly 0.5.
+  static constexpr double kBoxMargin = 1e-9;
+
+ protected:
+  /// The label sigmoid(z) >= 0.5 gives every z in `z`: 1 when z.lo clears
+  /// +kBoxMargin, 0 when z.hi clears -kBoxMargin, otherwise nothing.
+  static std::optional<int> logit_box_label(const Interval& z) {
+    if (z.lo > kBoxMargin) return 1;
+    if (z.hi < -kBoxMargin) return 0;
+    return std::nullopt;
+  }
 };
 
 using RegressorPtr = std::unique_ptr<Regressor>;

@@ -69,31 +69,51 @@ void ThreadPool::parallel_for(std::size_t n,
   if (nworkers == 0) {
     throw std::runtime_error("ThreadPool::parallel_for after shutdown");
   }
-  const std::size_t blocks = std::min(n, nworkers);
-  const std::size_t chunk = (n + blocks - 1) / blocks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = b * chunk;
-    const std::size_t hi = std::min(n, lo + chunk);
-    if (lo >= hi) break;
-    futs.push_back(submit([lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    }));
-  }
-  // Every block must finish before we rethrow: blocks borrow `fn` (and
-  // whatever its captures reference), so returning early would let still-
-  // running blocks touch dead stack frames. Futures are visited in block
-  // order, so the lowest-indexed failing block wins deterministically.
-  std::exception_ptr first_error;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  const std::size_t most_blocks = std::min(n, nworkers);
+  const std::size_t chunk = (n + most_blocks - 1) / most_blocks;
+  const std::size_t blocks = (n + chunk - 1) / chunk;
+  // Every block must finish before we return or rethrow: blocks borrow
+  // `fn` (and whatever its captures reference) and `join`. A block
+  // catches into its own slot, then counts down under join.mu and
+  // notifies before unlocking; after that it never touches this frame,
+  // so the caller holds the only reference to any exception a block
+  // threw and drops it on its own thread. Blocks queue in one step, so
+  // either all of them run or, after shutdown, none does.
+  struct Join {
+    explicit Join(std::size_t blocks) : errors(blocks), pending(blocks) {}
+    std::vector<std::exception_ptr> errors;  ///< slot b: block b's alone
+    Mutex mu;
+    CondVar done;
+    std::size_t pending STURGEON_GUARDED_BY(mu);
+  } join(blocks);
+  {
+    MutexLock lock(mu_);
+    if (stopping_) {
+      throw std::runtime_error("ThreadPool::parallel_for after shutdown");
+    }
+    for (std::size_t b = 0; b < blocks; ++b) {
+      queue_.emplace_back([&, b] {
+        const std::size_t lo = b * chunk;
+        const std::size_t hi = std::min(n, lo + chunk);
+        try {
+          for (std::size_t i = lo; i < hi; ++i) fn(i);
+        } catch (...) {
+          join.errors[b] = std::current_exception();
+        }
+        MutexLock done(join.mu);
+        if (--join.pending == 0) join.done.notify_one();
+      });
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  for (std::size_t b = 0; b < blocks; ++b) cv_.notify_one();
+  {
+    MutexLock lock(join.mu);
+    while (join.pending != 0) join.done.wait(join.mu);
+  }
+  // The lowest-indexed failing block wins, whatever order blocks ran in.
+  for (const std::exception_ptr& e : join.errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 }  // namespace sturgeon

@@ -66,6 +66,26 @@ TEST(ConfigSearch, InfeasiblePowerFallsBackToAllToLs) {
   EXPECT_EQ(r.best, Partition::all_to_ls(m));
 }
 
+// power_fallback marks only the fallback the budget causes: QoS is
+// reachable, and a candidate was turned down at the bottom BE P-state.
+TEST(ConfigSearch, PowerFallbackMarksOnlyBudgetRejections) {
+  const auto pred = testing::fake_predictor(m, 1.0, 3);
+  const auto capped = ConfigSearch(*pred, 25.0).search(6000.0);
+  EXPECT_FALSE(capped.feasible);
+  EXPECT_TRUE(capped.power_fallback);
+  EXPECT_FALSE(ConfigSearch(*pred, 200.0).search(6000.0).power_fallback);
+  const auto overloaded = testing::fake_predictor(m, 10.0, 3);
+  const auto no_qos = ConfigSearch(*overloaded, 25.0).search(20000.0);
+  EXPECT_FALSE(no_qos.feasible);
+  EXPECT_FALSE(no_qos.power_fallback);
+  // QoS needs every way, so each candidate leaves the BE app no cache
+  // before the budget is consulted.
+  const auto all_ways = testing::fake_predictor(m, 1.0, m.llc_ways);
+  const auto no_room = ConfigSearch(*all_ways, 25.0).search(6000.0);
+  EXPECT_FALSE(no_room.feasible);
+  EXPECT_FALSE(no_room.power_fallback);
+}
+
 TEST(ConfigSearch, MatchesExhaustiveReference) {
   const auto pred = testing::fake_predictor(m, 1.0, 3);
   ConfigSearch search(*pred, 130.0);

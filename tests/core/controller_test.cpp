@@ -161,6 +161,34 @@ TEST(Controller, ModelCallsCounterSumsOwnSearches) {
   EXPECT_EQ(ctx->metrics().counter("controller.model_calls").value(), 0u);
 }
 
+// controller.power_fallbacks counts the searches that kept all-to-LS
+// because the cap turned every candidate down; an uncapped controller
+// registers no counter.
+TEST(Controller, PowerFallbacksCounterCountsCappedFallbacks) {
+  const auto pred = testing::fake_predictor(m, 1.0, 3);
+  SturgeonController ctl(pred, 10.0, 200.0);
+  const auto ctx = telemetry::TelemetryContext::make(m);
+  ctl.attach_telemetry(ctx);
+  const auto registered = [&] {
+    for (const auto& [name, value] : ctx->metrics().snapshot().counters) {
+      if (name == "controller.power_fallbacks") return true;
+    }
+    return false;
+  };
+  Partition cur = ctl.decide(sample(2.0, 6000.0), Partition::all_to_ls(m));
+  ASSERT_GT(cur.be.cores, 0);
+  EXPECT_FALSE(registered());
+
+  ctl.set_power_cap(25.0);
+  cur = ctl.decide(sample(2.0, 6000.0), cur);
+  EXPECT_EQ(cur, Partition::all_to_ls(m));
+  cur = ctl.decide(sample(2.0, 7000.0), cur);
+  ASSERT_EQ(ctl.searches_run(), 3u);
+  EXPECT_EQ(ctx->metrics().counter("controller.power_fallbacks").value(), 2u);
+  ctl.reset();
+  EXPECT_EQ(ctx->metrics().counter("controller.power_fallbacks").value(), 0u);
+}
+
 // Handles bound on first use are dropped on every attach: after a switch
 // the controller writes only to the new context (ASan would flag a write
 // through a handle into the destroyed first context).

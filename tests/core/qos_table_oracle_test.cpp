@@ -1,11 +1,14 @@
 // Bit-identity oracle for the certified LS QoS tables (core/qos_table.h).
 //
-// For each LS service at the oracle campaign (all three deploy an
-// MlpClassifier there), every slice of the table is queried at every
-// segment endpoint and its floating-point neighbours, on a strided QPS
-// grid, at random QPS and above the table's range. Predictor::ls_qos_ok
-// must return exactly what the classifier's predict() returns, and must
-// run (and count) the model only where the table proves no label.
+// For each LS service at the oracle campaign, every slice of the table
+// is queried at every segment endpoint and its floating-point
+// neighbours, on a strided QPS grid, at random QPS and above the table's
+// range. Predictor::ls_qos_ok must return exactly what the classifier's
+// predict() returns, and must run (and count) the model only where the
+// table proves no label. The oracle runs twice per service: once on the
+// deployed set (an MlpClassifier for all three services at this
+// campaign) and once with a LogisticRegression fit on the same profiling
+// data and its own table, the two families that have an interval pass.
 //
 // The sharing tests check that one LS model set carries one table, which
 // the registry builds once and every predictor of the service answers
@@ -18,6 +21,7 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -28,6 +32,7 @@
 #include "core/trainer.h"
 #include "exp/model_registry.h"
 #include "fake_models.h"
+#include "ml/factory.h"
 #include "small_config.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -39,16 +44,36 @@ using testing::small_config;
 
 const MachineSpec m = MachineSpec::xeon_e5_2630_v4();
 
-/// The service's trained LS models, with the fake BE models, so the
-/// predictor costs no BE training.
-TrainedModels ls_trained_models(const LsProfile& ls) {
-  const LsModels trained =
-      train_ls_models(collect_ls_profiling(ls, small_config()),
-                      small_config());
+/// The service's deployed LS set at the oracle campaign, and the same
+/// set with a LogisticRegression fit on the same profiling data as its
+/// QoS classifier, with its own table.
+struct ServiceModels {
+  LsModels deployed;
+  LsModels lr;
+};
+
+const ServiceModels& service_models(const LsProfile& ls) {
+  static std::map<std::string, ServiceModels> trained;
+  const auto it = trained.find(ls.name);
+  if (it != trained.end()) return it->second;
+  const LsProfilingData data = collect_ls_profiling(ls, small_config());
+  ServiceModels out;
+  out.deployed = train_ls_models(data, small_config());
+  out.lr = out.deployed;
+  auto lr = ml::make_classifier(ml::ModelKind::kLinear, small_config().seed);
+  lr->fit(data.x, data.qos_ok);
+  out.lr.qos = std::move(lr);
+  out.lr.qos_table = nullptr;
+  add_qos_table(out.lr, small_config().server.machine);
+  return trained.emplace(ls.name, std::move(out)).first->second;
+}
+
+/// `ls` with the fake BE models, so the predictor costs no BE training.
+TrainedModels with_fake_be(const LsModels& ls) {
   TrainedModels models = testing::fake_models();
-  models.ls_qos = trained.qos;
-  models.ls_qos_table = trained.qos_table;
-  models.ls_power = trained.power;
+  models.ls_qos = ls.qos;
+  models.ls_qos_table = ls.qos_table;
+  models.ls_power = ls.power;
   return models;
 }
 
@@ -96,20 +121,21 @@ void check_query(const Predictor& predictor, const ml::Classifier& qos,
   }
 }
 
-OracleStats run_oracle(const LsProfile& ls) {
-  const TrainedModels models = ls_trained_models(ls);
-  EXPECT_EQ(models.ls_qos->name(), "MlpClassifier") << ls.name;
+OracleStats run_oracle(const std::string& service, const LsModels& ls,
+                       const std::string& family) {
+  const TrainedModels models = with_fake_be(ls);
+  EXPECT_EQ(models.ls_qos->name(), family) << service;
   const Predictor predictor(m, models);
   OracleStats st;
   if (predictor.qos_table() == nullptr) {
-    ADD_FAILURE() << ls.name << ": no QoS table";
+    ADD_FAILURE() << service << ": no QoS table";
     return st;
   }
   const LsQosTable& table = *predictor.qos_table();
   const ml::Classifier& qos = *models.ls_qos;
   const double top = table.qps_max();
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  Rng rng(0x7ab1e ^ std::hash<std::string>{}(ls.name));
+  Rng rng(0x7ab1e ^ std::hash<std::string>{}(service));
   for (const AppSlice& s : table_slices()) {
     const auto segs = table.segments(s);
     if (segs.empty()) {
@@ -147,9 +173,10 @@ OracleStats run_oracle(const LsProfile& ls) {
   const double slices = static_cast<double>(table_slices().size());
   std::fprintf(
       stdout,
-      "%s: %llu segments over %.0f slices, unproven %.3g of the range; "
-      "%llu queries, %.4f%% from the table\n",
-      ls.name.c_str(), static_cast<unsigned long long>(st.segments), slices,
+      "%s (%s): %llu segments over %.0f slices, unproven %.3g of the "
+      "range; %llu queries, %.4f%% from the table\n",
+      service.c_str(), family.c_str(),
+      static_cast<unsigned long long>(st.segments), slices,
       st.unproven_width / (slices * top),
       static_cast<unsigned long long>(st.queries),
       100.0 * static_cast<double>(st.from_table) /
@@ -160,9 +187,19 @@ OracleStats run_oracle(const LsProfile& ls) {
 class QosTableOracle : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(QosTableOracle, EveryAnswerMatchesTheClassifier) {
-  const OracleStats st = run_oracle(find_ls(GetParam()));
+  const OracleStats st =
+      run_oracle(GetParam(), service_models(find_ls(GetParam())).deployed,
+                 "MlpClassifier");
   EXPECT_EQ(st.mismatches, 0u);
   // The random and strided QPS mostly land in proven segments.
+  EXPECT_GT(st.from_table, st.queries / 2);
+}
+
+TEST_P(QosTableOracle, EveryLogisticRegressionAnswerMatchesTheClassifier) {
+  const OracleStats st =
+      run_oracle(GetParam(), service_models(find_ls(GetParam())).lr,
+                 "LogisticRegression");
+  EXPECT_EQ(st.mismatches, 0u);
   EXPECT_GT(st.from_table, st.queries / 2);
 }
 
@@ -177,7 +214,8 @@ INSTANTIATE_TEST_SUITE_P(AllLsServices, QosTableOracle,
                          });
 
 TEST(QosTable, NotUsedForAnotherMachine) {
-  const TrainedModels models = ls_trained_models(find_ls("memcached"));
+  const TrainedModels models =
+      with_fake_be(service_models(find_ls("memcached")).deployed);
   MachineSpec other = m;
   other.freq_ghz.back() += 0.1;
   const Predictor predictor(other, models);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+
+#include "qos_like_data.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -51,6 +55,60 @@ TEST(LogisticRegression, GeneralizesToFreshSamples) {
   LogisticRegression lr;
   lr.fit(xtr, ytr);
   EXPECT_GE(accuracy(yte, lr.predict_batch(xte)), 0.96);
+}
+
+using testing::bits;
+using testing::Box;
+using testing::qos_like_data;
+using testing::QosLikeData;
+using testing::random_box;
+
+const LogisticRegression& qos_like_lr() {
+  static const LogisticRegression lr = [] {
+    const QosLikeData d = qos_like_data();
+    LogisticRegression m;
+    m.fit(d.x, d.y);
+    return m;
+  }();
+  return lr;
+}
+
+TEST(LogisticRegression, PointBoxBoundsAreTheLogitPredictThresholds) {
+  const LogisticRegression& lr = qos_like_lr();
+  for (const FeatureRow& x : qos_like_data().x) {
+    const double z = lr.logit(x);
+    const Interval b = lr.logit_bounds(x, x);
+    ASSERT_EQ(bits(b.lo), bits(z));
+    ASSERT_EQ(bits(b.hi), bits(z));
+    // predict_proba() is the two-branch sigmoid of that logit.
+    const double p = z >= 0.0 ? 1.0 / (1.0 + std::exp(-z))
+                              : std::exp(z) / (1.0 + std::exp(z));
+    ASSERT_EQ(bits(lr.predict_proba(x)), bits(p));
+    ASSERT_EQ(lr.predict(x), p >= 0.5 ? 1 : 0);
+  }
+}
+
+TEST(LogisticRegression, BoxBoundsHoldEveryRowInsideTheBox) {
+  const LogisticRegression& lr = qos_like_lr();
+  Rng rng(86);
+  int proven = 0;
+  for (int k = 0; k < 1000; ++k) {
+    const Box box = random_box(rng);
+    const Interval b = lr.logit_bounds(box.lo, box.hi);
+    for (const FeatureRow* x : {&box.lo, &box.inside, &box.hi}) {
+      const double z = lr.logit(*x);
+      ASSERT_LE(b.lo, z) << "box " << k;
+      ASSERT_GE(b.hi, z) << "box " << k;
+    }
+    const std::optional<int> label = lr.box_label(box.lo, box.hi);
+    if (label) {
+      ++proven;
+      ASSERT_EQ(*label, lr.predict(box.inside)) << "box " << k;
+      ASSERT_EQ(*label, lr.predict(box.lo)) << "box " << k;
+      ASSERT_EQ(*label, lr.predict(box.hi)) << "box " << k;
+    }
+  }
+  EXPECT_GT(proven, 0);
 }
 
 TEST(LogisticRegression, RejectsBadInput) {

@@ -2,38 +2,21 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
 
 #include "ml/factory.h"
+#include "qos_like_data.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
 namespace sturgeon::ml {
 namespace {
 
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-/// Rows shaped like the LS QoS data, {kQPS, cores, GHz, ways}, labelled
-/// by a noisy capacity rule, so the classifier's boundary crosses the box.
-struct QosLikeData {
-  std::vector<FeatureRow> x;
-  std::vector<int> y;
-};
-QosLikeData qos_like_data() {
-  QosLikeData d;
-  Rng rng(84);
-  for (int i = 0; i < 500; ++i) {
-    const FeatureRow row{rng.uniform(0.0, 60.0), 1.0 + rng.uniform_int(0, 19),
-                         rng.uniform(1.2, 2.2), 1.0 + rng.uniform_int(0, 19)};
-    const double capacity = row[1] * row[2] * (1.0 + 0.02 * row[3]);
-    d.x.push_back(row);
-    d.y.push_back(capacity + rng.normal() >= 0.9 * row[0] ? 1 : 0);
-  }
-  return d;
-}
+using testing::bits;
+using testing::Box;
+using testing::qos_like_data;
+using testing::QosLikeData;
+using testing::random_box;
 
 const MlpClassifier& qos_like_mlp() {
   static const MlpClassifier mlp = [] {
@@ -45,29 +28,6 @@ const MlpClassifier& qos_like_mlp() {
     return m;
   }();
   return mlp;
-}
-
-/// A random box inside the data's range, and a random row inside it.
-struct Box {
-  FeatureRow lo, hi, inside;
-};
-Box random_box(Rng& rng) {
-  const double lo_end[4] = {0.0, 1.0, 1.2, 1.0};
-  const double hi_end[4] = {66.0, 20.0, 2.2, 20.0};
-  Box b;
-  for (int j = 0; j < 4; ++j) {
-    // Half the boxes are a point in this feature, as the QoS table's are
-    // in all but QPS.
-    const double a = rng.uniform(lo_end[j], hi_end[j]);
-    const double c =
-        rng.uniform(0.0, 1.0) < 0.5 ? a : rng.uniform(lo_end[j], hi_end[j]);
-    b.lo.push_back(std::min(a, c));
-    b.hi.push_back(std::max(a, c));
-    b.inside.push_back(b.lo.back() +
-                       rng.uniform(0.0, 1.0) * (b.hi.back() - b.lo.back()));
-    b.inside.back() = std::clamp(b.inside.back(), b.lo.back(), b.hi.back());
-  }
-  return b;
 }
 
 TEST(MlpRegressor, LearnsSmoothNonlinearFunction) {
@@ -184,7 +144,7 @@ TEST(MlpClassifier, BoxBoundsHoldEveryRowInsideTheBox) {
   EXPECT_GT(proven, 0);
 }
 
-TEST(Classifier, OnlyTheMlpHasAnIntervalPass) {
+TEST(Classifier, OnlyLogisticRegressionAndTheMlpHaveAnIntervalPass) {
   const QosLikeData d = qos_like_data();
   const FeatureRow& x = d.x.front();
   for (ModelKind kind : {ModelKind::kLinear, ModelKind::kDecisionTree,
@@ -192,8 +152,8 @@ TEST(Classifier, OnlyTheMlpHasAnIntervalPass) {
                          ModelKind::kSvm, ModelKind::kMlp}) {
     const auto c = make_classifier(kind);
     c->fit(d.x, d.y);
-    if (kind == ModelKind::kMlp) {
-      EXPECT_TRUE(c->has_interval_pass());
+    if (kind == ModelKind::kLinear || kind == ModelKind::kMlp) {
+      EXPECT_TRUE(c->has_interval_pass()) << to_string(kind);
       continue;
     }
     EXPECT_FALSE(c->has_interval_pass()) << to_string(kind);
