@@ -2,11 +2,11 @@
 // 0.04 ms". Times single-row inference for every model family on models
 // trained over the memcached profiling dataset (google-benchmark).
 //
-// The *TableSweep benchmarks time one pass over the whole slice grid
-// (core::SliceGrid, every (cores, P-state, ways) slice of the machine)
-// through the deployed memcached models: a scalar predict() loop against
-// one predict_batch call. The predictor fills its BE tables with such a
-// batch sweep over the same grid.
+// The *TableSweep benchmarks time one scalar predict() per slice of the
+// whole slice grid (core::SliceGrid, every (cores, P-state, ways) slice of
+// the machine) through the deployed memcached models. A Predictor pays one
+// such sweep per BE model when it is built: it fills its BE power and IPC
+// tables with one scalar predict() per slice.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -79,13 +79,6 @@ struct SweepFixture {
     }();
     return f;
   }
-
-  std::vector<double> flat() const {
-    std::vector<double> xs;
-    xs.reserve(rows.size() * rows[0].size());
-    for (const auto& row : rows) xs.insert(xs.end(), row.begin(), row.end());
-    return xs;
-  }
 };
 
 /// One scalar predict() per grid slice.
@@ -102,37 +95,12 @@ void scalar_sweep(benchmark::State& state, const Model& model) {
   state.SetLabel(model.name());
 }
 
-/// One predict_batch() call over the whole grid; `Out` is the model's
-/// output type.
-template <typename Out, typename Model>
-void batch_sweep(benchmark::State& state, const Model& model) {
-  const auto& fx = SweepFixture::get();
-  const std::vector<double> flat = fx.flat();
-  std::vector<Out> out(fx.rows.size());
-  for (auto _ : state) {
-    model.predict_batch(flat.data(), fx.rows.size(), fx.rows[0].size(),
-                        out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fx.rows.size()));
-  state.SetLabel(model.name());
-}
-
 void BM_ScalarPredictTableSweep(benchmark::State& state) {
   scalar_sweep(state, *SweepFixture::get().models.power);
 }
 
-void BM_BatchPredictTableSweep(benchmark::State& state) {
-  batch_sweep<double>(state, *SweepFixture::get().models.power);
-}
-
 void BM_ScalarClassifyTableSweep(benchmark::State& state) {
   scalar_sweep(state, *SweepFixture::get().models.qos);
-}
-
-void BM_BatchClassifyTableSweep(benchmark::State& state) {
-  batch_sweep<int>(state, *SweepFixture::get().models.qos);
 }
 
 }  // namespace
@@ -153,8 +121,6 @@ BENCHMARK(BM_ClassifierPredict)
     ->Arg(static_cast<int>(ml::ModelKind::kMlp));
 
 BENCHMARK(BM_ScalarPredictTableSweep)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BatchPredictTableSweep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ScalarClassifyTableSweep)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BatchClassifyTableSweep)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

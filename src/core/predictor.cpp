@@ -13,29 +13,6 @@ namespace sturgeon::core {
 
 namespace {
 
-/// Flattened feature matrix covering grid slices [first, grid.size()), in
-/// index order. `row_fn` maps an AppSlice to its FeatureRow, so the BE
-/// table fills reuse the exact feature encoding of a scalar query.
-template <typename RowFn>
-std::vector<double> build_feature_matrix(const SliceGrid& grid,
-                                         std::size_t first, RowFn&& row_fn,
-                                         std::size_t* stride_out) {
-  const std::size_t n = grid.size() - first;
-  std::vector<double> xs;
-  std::size_t stride = 0;
-  for (std::size_t i = first; i < grid.size(); ++i) {
-    const ml::FeatureRow row = row_fn(grid.at(i));
-    if (i == first) {
-      stride = row.size();
-      xs.reserve(n * stride);
-    }
-    STURGEON_DCHECK(row.size() == stride, "feature matrix: ragged row");
-    xs.insert(xs.end(), row.begin(), row.end());
-  }
-  *stride_out = stride;
-  return xs;
-}
-
 /// The LS feature row of one scalar query, built in per-thread storage
 /// so the query allocates nothing.
 const ml::FeatureRow& ls_row(const MachineSpec& m, double qps_real,
@@ -70,31 +47,23 @@ Predictor::Predictor(const MachineSpec& machine, TrainedModels models)
 
 Predictor::BeTables Predictor::make_be_tables(
     const TrainedModels& models) const {
+  const auto answer = [](const ml::Regressor& model, const ml::FeatureRow& row,
+                         const char* what) {
+    return std::max(0.0, ValidateModelOutput(model.predict(row), what,
+                                             /*allow_negative=*/true));
+  };
+  BeTables tables{std::vector<double>(grid_.size(), 0.0),
+                  std::vector<double>(grid_.size(), 0.0)};
   // Slices with at least one core are the grid's tail, after the
   // cores == 0 block.
   const std::size_t first = grid_.index(AppSlice{1, 0, 0});
-  const std::size_t n = grid_.size() - first;
-  std::size_t stride = 0;
-  const auto xs = build_feature_matrix(
-      grid_, first,
-      [&](const AppSlice& s) {
-        return be_features(machine_, kNativeInputLevel, s);
-      },
-      &stride);
-  const auto fill = [&](const ml::Regressor& model, const char* what) {
-    std::vector<double> table(grid_.size(), 0.0);
-    double* out = table.data() + first;
-    model.predict_batch(xs.data(), n, stride, out);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = std::max(0.0, ValidateModelOutput(out[i], what,
-                                                 /*allow_negative=*/true));
-    }
-    invocations_.add(n);
-    return table;
-  };
-  BeTables tables;
-  tables.power = fill(*models.be_power, "be_power");
-  tables.ipc = fill(*models.be_ipc, "be_ipc");
+  for (std::size_t i = first; i < grid_.size(); ++i) {
+    const ml::FeatureRow row =
+        be_features(machine_, kNativeInputLevel, grid_.at(i));
+    tables.power[i] = answer(*models.be_power, row, "be_power");
+    tables.ipc[i] = answer(*models.be_ipc, row, "be_ipc");
+  }
+  invocations_.add(2 * (grid_.size() - first));
   return tables;
 }
 

@@ -8,11 +8,10 @@
 // Model invocations are counted so the overhead experiments (paper
 // Section VII-E) can report predictions-per-search.
 //
-// The BE models see no load input, so the constructor evaluates them
-// once over every slice of the machine (one predict_batch sweep per
-// model) and be_power_w()/be_ipc() become lock-free lookups in those
-// immutable tables. The ml layer's batch contract makes each entry
-// bit-identical to a scalar predict(); lookups invoke no model.
+// The BE models see no load input, so the constructor asks each of them
+// one scalar predict() per slice of the machine, and be_power_w()/be_ipc()
+// become lock-free lookups in those immutable tables; lookups invoke no
+// model.
 //
 // The LS QoS answer comes from the model set's certified table
 // (core/qos_table.h) where it proves one, and from one model call
@@ -73,8 +72,9 @@ class Predictor {
   /// Cumulative number of model invocations (overhead accounting).
   /// Thread-safe: nodes sharing the predictor query it concurrently.
   /// Table lookups (BE and LS QoS) are not invocations; the BE table fill
-  /// at construction adds the whole batch it swept. The LS QoS table is
-  /// built with the model set, before any predictor, and adds nothing.
+  /// at construction adds one per model and slice it filled. The LS QoS
+  /// table is built with the model set, before any predictor, and adds
+  /// nothing.
   std::uint64_t model_invocations() const {
     return invocations_.value();
   }
@@ -87,10 +87,10 @@ class Predictor {
 
   static TrainedModels validate_models(TrainedModels models);
 
-  /// Evaluate both BE models of `models` over every grid slice with at
-  /// least one core, validated and clamped at 0 exactly like the scalar
-  /// answer they replace; cores == 0 entries stay 0.0 (an empty BE slice
-  /// draws no power and retires nothing).
+  /// One scalar predict() of each BE model of `models` per grid slice
+  /// with at least one core, validated and clamped at 0; cores == 0
+  /// entries stay 0.0 (an empty BE slice draws no power and retires
+  /// nothing).
   BeTables make_be_tables(const TrainedModels& models) const;
 
   MachineSpec machine_;

@@ -39,7 +39,7 @@ LsProfilingData collect_ls_profiling(const LsProfile& ls,
   // Any BE profile serves for LS-solo runs (the BE slice stays empty).
   const BeProfile& dummy_be = be_catalog().front();
   LsProfilingData data;
-  Rng rng(config.seed ^ std::hash<std::string>{}(ls.name));
+  Rng rng(config.seed ^ stable_hash(ls.name));
 
   const auto probe = [&](double load, const AppSlice& slice) {
     sim::SimulatedServer server(ls, dummy_be, rng.next_u64(),
@@ -118,7 +118,7 @@ BeProfilingData collect_be_profiling(const BeProfile& be,
   // Any LS profile serves for BE-solo runs (zero load, parked slice).
   const LsProfile& dummy_ls = ls_catalog().front();
   BeProfilingData data;
-  Rng rng(config.seed ^ std::hash<std::string>{}(be.name) ^ 0xbeULL);
+  Rng rng(config.seed ^ stable_hash(be.name) ^ 0xbeULL);
 
   // Idle probe: both sides parked; the BE incremental power is defined
   // against this baseline.

@@ -52,8 +52,9 @@ class StandardScaler {
   void fit(const std::vector<FeatureRow>& x);
   FeatureRow transform(const FeatureRow& row) const;
   std::vector<FeatureRow> transform(const std::vector<FeatureRow>& x) const;
-  /// Allocation-free variant for the batched-inference hot path: scales
-  /// `row[0..dim)` into `out` with arithmetic identical to transform().
+  /// Allocation-free variant that scaled_row() and scaled_box() build on:
+  /// scales `row[0..dim)` into `out` with arithmetic identical to
+  /// transform().
   void transform_into(const double* row, double* out) const;
   bool fitted() const { return !mean_.empty(); }
   std::size_t dim() const { return mean_.size(); }

@@ -66,20 +66,6 @@ double RandomForestRegressor::predict(const FeatureRow& row) const {
   return mean;
 }
 
-void RandomForestRegressor::predict_batch(const double* xs, std::size_t n,
-                                          std::size_t stride,
-                                          double* out) const {
-  if (trees_.empty()) throw std::logic_error("RFRegressor: not fitted");
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* row = xs + r * stride;
-    double acc = 0.0;
-    for (const auto& tree : trees_) acc += tree.predict(row, stride);
-    const double mean = acc / static_cast<double>(trees_.size());
-    STURGEON_DCHECK(std::isfinite(mean), "RFRegressor: non-finite prediction");
-    out[r] = mean;
-  }
-}
-
 RandomForestClassifier::RandomForestClassifier(ForestParams params)
     : params_(params) {
   if (params.num_trees < 1) {
@@ -122,27 +108,6 @@ int RandomForestClassifier::predict(const FeatureRow& row) const {
     }
   }
   return best;
-}
-
-void RandomForestClassifier::predict_batch(const double* xs, std::size_t n,
-                                           std::size_t stride,
-                                           int* out) const {
-  if (trees_.empty()) throw std::logic_error("RFClassifier: not fitted");
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* row = xs + r * stride;
-    std::map<int, int> votes;
-    for (const auto& tree : trees_) {
-      ++votes[static_cast<int>(std::lround(tree.predict(row, stride)))];
-    }
-    int best = 0, best_count = -1;
-    for (const auto& [label, count] : votes) {
-      if (count > best_count) {
-        best_count = count;
-        best = label;
-      }
-    }
-    out[r] = best;
-  }
 }
 
 }  // namespace sturgeon::ml

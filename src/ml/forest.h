@@ -19,9 +19,6 @@ class RandomForestRegressor : public Regressor {
 
   void fit(const DataSet& data) override;
   double predict(const FeatureRow& row) const override;
-  using Regressor::predict_batch;
-  void predict_batch(const double* xs, std::size_t n, std::size_t stride,
-                     double* out) const override;
   std::string name() const override { return "RandomForestRegressor"; }
 
   std::size_t num_trees() const { return trees_.size(); }
@@ -38,9 +35,6 @@ class RandomForestClassifier : public Classifier {
   void fit(const std::vector<FeatureRow>& x,
            const std::vector<int>& labels) override;
   int predict(const FeatureRow& row) const override;
-  using Classifier::predict_batch;
-  void predict_batch(const double* xs, std::size_t n, std::size_t stride,
-                     int* out) const override;
   std::string name() const override { return "RandomForestClassifier"; }
 
   std::size_t num_trees() const { return trees_.size(); }

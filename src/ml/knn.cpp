@@ -44,7 +44,9 @@ void KnnRegressor::fit(const DataSet& data) {
   y_ = data.y;
 }
 
-double KnnRegressor::predict_scaled(const FeatureRow& q) const {
+double KnnRegressor::predict(const FeatureRow& row) const {
+  if (x_.empty()) throw std::logic_error("KnnRegressor: not fitted");
+  const FeatureRow& q = scaled_row(scaler_, row);
   const auto idx = detail::knn_indices(x_, q, k_);
   if (!weighted_) {
     double acc = 0.0;
@@ -65,24 +67,6 @@ double KnnRegressor::predict_scaled(const FeatureRow& q) const {
   return acc / wsum;
 }
 
-double KnnRegressor::predict(const FeatureRow& row) const {
-  if (x_.empty()) throw std::logic_error("KnnRegressor: not fitted");
-  return predict_scaled(scaled_row(scaler_, row));
-}
-
-void KnnRegressor::predict_batch(const double* xs, std::size_t n,
-                                 std::size_t stride, double* out) const {
-  if (x_.empty()) throw std::logic_error("KnnRegressor: not fitted");
-  if (stride != scaler_.dim()) {
-    throw std::invalid_argument("KnnRegressor: arity mismatch");
-  }
-  FeatureRow q(stride);
-  for (std::size_t r = 0; r < n; ++r) {
-    scaler_.transform_into(xs + r * stride, q.data());
-    out[r] = predict_scaled(q);
-  }
-}
-
 KnnClassifier::KnnClassifier(int k) : k_(k) {
   if (k < 1) throw std::invalid_argument("KnnClassifier: k < 1");
 }
@@ -97,8 +81,9 @@ void KnnClassifier::fit(const std::vector<FeatureRow>& x,
   labels_ = labels;
 }
 
-int KnnClassifier::predict_scaled(const FeatureRow& q) const {
-  const auto idx = detail::knn_indices(x_, q, k_);
+int KnnClassifier::predict(const FeatureRow& row) const {
+  if (x_.empty()) throw std::logic_error("KnnClassifier: not fitted");
+  const auto idx = detail::knn_indices(x_, scaled_row(scaler_, row), k_);
   std::map<int, int> votes;
   for (std::size_t i : idx) ++votes[labels_[i]];
   int best_label = labels_[idx[0]];
@@ -110,24 +95,6 @@ int KnnClassifier::predict_scaled(const FeatureRow& q) const {
     }
   }
   return best_label;
-}
-
-int KnnClassifier::predict(const FeatureRow& row) const {
-  if (x_.empty()) throw std::logic_error("KnnClassifier: not fitted");
-  return predict_scaled(scaled_row(scaler_, row));
-}
-
-void KnnClassifier::predict_batch(const double* xs, std::size_t n,
-                                  std::size_t stride, int* out) const {
-  if (x_.empty()) throw std::logic_error("KnnClassifier: not fitted");
-  if (stride != scaler_.dim()) {
-    throw std::invalid_argument("KnnClassifier: arity mismatch");
-  }
-  FeatureRow q(stride);
-  for (std::size_t r = 0; r < n; ++r) {
-    scaler_.transform_into(xs + r * stride, q.data());
-    out[r] = predict_scaled(q);
-  }
 }
 
 }  // namespace sturgeon::ml

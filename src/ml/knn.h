@@ -22,16 +22,9 @@ class KnnRegressor : public Regressor {
 
   void fit(const DataSet& data) override;
   double predict(const FeatureRow& row) const override;
-  using Regressor::predict_batch;
-  void predict_batch(const double* xs, std::size_t n, std::size_t stride,
-                     double* out) const override;
   std::string name() const override { return "KnnRegressor"; }
 
  private:
-  /// Shared aggregation over an already-scaled query; keeps the scalar
-  /// and batched paths structurally identical.
-  double predict_scaled(const FeatureRow& q) const;
-
   int k_;
   bool weighted_;
   StandardScaler scaler_;
@@ -46,14 +39,9 @@ class KnnClassifier : public Classifier {
   void fit(const std::vector<FeatureRow>& x,
            const std::vector<int>& labels) override;
   int predict(const FeatureRow& row) const override;
-  using Classifier::predict_batch;
-  void predict_batch(const double* xs, std::size_t n, std::size_t stride,
-                     int* out) const override;
   std::string name() const override { return "KnnClassifier"; }
 
  private:
-  int predict_scaled(const FeatureRow& q) const;
-
   int k_;
   StandardScaler scaler_;
   std::vector<FeatureRow> x_;

@@ -75,19 +75,4 @@ std::vector<double> normal_rhs(const std::vector<std::vector<double>>& rows,
   return v;
 }
 
-void matmul_transposed_bias(const double* a, std::size_t n, std::size_t k,
-                            const double* b, std::size_t m,
-                            const double* bias, double* out) {
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* arow = a + r * k;
-    double* orow = out + r * m;
-    for (std::size_t j = 0; j < m; ++j) {
-      const double* brow = b + j * k;
-      double z = bias != nullptr ? bias[j] : 0.0;
-      for (std::size_t i = 0; i < k; ++i) z += brow[i] * arow[i];
-      orow[j] = z;
-    }
-  }
-}
-
 }  // namespace sturgeon::ml

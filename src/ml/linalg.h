@@ -21,14 +21,4 @@ Matrix normal_matrix(const std::vector<std::vector<double>>& rows,
 std::vector<double> normal_rhs(const std::vector<std::vector<double>>& rows,
                                const std::vector<double>& y);
 
-/// out = A * B^T + bias: A is n x k row-major (one sample per row), B is
-/// m x k row-major (one output unit's weights per row), bias has length m
-/// (nullptr = zero), out is n x m row-major. The inner accumulation runs
-/// z = bias[j]; z += B[j][i] * A[r][i] for i ascending -- the same order
-/// as a per-sample GEMV -- so batched inference built on this routine is
-/// bit-identical to scalar prediction.
-void matmul_transposed_bias(const double* a, std::size_t n, std::size_t k,
-                            const double* b, std::size_t m,
-                            const double* bias, double* out);
-
 }  // namespace sturgeon::ml

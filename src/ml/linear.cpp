@@ -46,20 +46,6 @@ double LinearRegression::predict(const FeatureRow& row) const {
   return acc;
 }
 
-void LinearRegression::predict_batch(const double* xs, std::size_t n,
-                                     std::size_t stride, double* out) const {
-  if (coef_.empty()) throw std::logic_error("LinearRegression: not fitted");
-  if (stride != coef_.size()) {
-    throw std::invalid_argument("LinearRegression: arity mismatch");
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* row = xs + r * stride;
-    double acc = intercept_;
-    for (std::size_t j = 0; j < stride; ++j) acc += coef_[j] * row[j];
-    out[r] = acc;
-  }
-}
-
 LassoRegression::LassoRegression(double lambda, int max_iter, double tol)
     : lambda_(lambda), max_iter_(max_iter), tol_(tol) {
   if (lambda < 0.0) throw std::invalid_argument("Lasso: lambda < 0");
@@ -125,21 +111,6 @@ double LassoRegression::predict(const FeatureRow& row) const {
   double acc = intercept_;
   for (std::size_t j = 0; j < xs.size(); ++j) acc += coef_[j] * xs[j];
   return acc;
-}
-
-void LassoRegression::predict_batch(const double* xs, std::size_t n,
-                                    std::size_t stride, double* out) const {
-  if (!scaler_.fitted()) throw std::logic_error("Lasso: not fitted");
-  if (stride != scaler_.dim()) {
-    throw std::invalid_argument("Lasso: arity mismatch");
-  }
-  std::vector<double> scaled(stride);
-  for (std::size_t r = 0; r < n; ++r) {
-    scaler_.transform_into(xs + r * stride, scaled.data());
-    double acc = intercept_;
-    for (std::size_t j = 0; j < stride; ++j) acc += coef_[j] * scaled[j];
-    out[r] = acc;
-  }
 }
 
 std::vector<std::size_t> LassoRegression::selected_features() const {

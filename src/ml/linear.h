@@ -18,9 +18,6 @@ class LinearRegression : public Regressor {
 
   void fit(const DataSet& data) override;
   double predict(const FeatureRow& row) const override;
-  using Regressor::predict_batch;
-  void predict_batch(const double* xs, std::size_t n, std::size_t stride,
-                     double* out) const override;
   std::string name() const override { return "LinearRegression"; }
 
   const std::vector<double>& coefficients() const { return coef_; }
@@ -42,9 +39,6 @@ class LassoRegression : public Regressor {
 
   void fit(const DataSet& data) override;
   double predict(const FeatureRow& row) const override;
-  using Regressor::predict_batch;
-  void predict_batch(const double* xs, std::size_t n, std::size_t stride,
-                     double* out) const override;
   std::string name() const override { return "LassoRegression"; }
 
   /// Coefficients in the standardized feature space.

@@ -98,19 +98,4 @@ int LogisticRegression::predict(const FeatureRow& row) const {
   return predict_proba(row) >= 0.5 ? 1 : 0;
 }
 
-void LogisticRegression::predict_batch(const double* xs, std::size_t n,
-                                       std::size_t stride, int* out) const {
-  if (!scaler_.fitted()) throw std::logic_error("Logistic: not fitted");
-  if (stride != scaler_.dim()) {
-    throw std::invalid_argument("Logistic: arity mismatch");
-  }
-  std::vector<double> scaled(stride);
-  for (std::size_t r = 0; r < n; ++r) {
-    scaler_.transform_into(xs + r * stride, scaled.data());
-    double z = intercept_;
-    for (std::size_t j = 0; j < stride; ++j) z += coef_[j] * scaled[j];
-    out[r] = sigmoid(z) >= 0.5 ? 1 : 0;
-  }
-}
-
 }  // namespace sturgeon::ml

@@ -18,9 +18,6 @@ class LogisticRegression : public Classifier {
   void fit(const std::vector<FeatureRow>& x,
            const std::vector<int>& labels) override;
   int predict(const FeatureRow& row) const override;
-  using Classifier::predict_batch;
-  void predict_batch(const double* xs, std::size_t n, std::size_t stride,
-                     int* out) const override;
   std::string name() const override { return "LogisticRegression"; }
 
   /// P(label == 1 | row).

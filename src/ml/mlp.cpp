@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "ml/linalg.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -153,25 +152,6 @@ Interval MlpNet::bounds(const double* lo, const double* hi) const {
   return neuron(out_layer, 0);
 }
 
-void MlpNet::forward_batch(const double* xs, std::size_t n,
-                           double* out) const {
-  if (!initialized()) throw std::logic_error("MlpNet: not initialized");
-  std::vector<double> cur(xs, xs + n * in_dims_[0]);
-  std::vector<double> next;
-  for (std::size_t l = 0; l < weights_.size(); ++l) {
-    const std::size_t in_dim = in_dims_[l];
-    const std::size_t out_dim = out_dims_[l];
-    next.assign(n * out_dim, 0.0);
-    matmul_transposed_bias(cur.data(), n, in_dim, weights_[l].data(), out_dim,
-                           biases_[l].data(), next.data());
-    if (l + 1 < weights_.size()) {
-      for (double& v : next) v = std::tanh(v);
-    }
-    cur.swap(next);
-  }
-  std::copy(cur.begin(), cur.begin() + static_cast<long>(n), out);
-}
-
 void MlpNet::backward(const FeatureRow& row,
                       const std::vector<std::vector<double>>& acts,
                       double dloss_dout) {
@@ -294,24 +274,6 @@ double MlpRegressor::predict(const FeatureRow& row) const {
   return v;
 }
 
-void MlpRegressor::predict_batch(const double* xs, std::size_t n,
-                                 std::size_t stride, double* out) const {
-  if (!scaler_.fitted()) throw std::logic_error("MlpRegressor: not fitted");
-  if (stride != scaler_.dim()) {
-    throw std::invalid_argument("MlpRegressor: arity mismatch");
-  }
-  std::vector<double> scaled(n * stride);
-  for (std::size_t r = 0; r < n; ++r) {
-    scaler_.transform_into(xs + r * stride, scaled.data() + r * stride);
-  }
-  net_.forward_batch(scaled.data(), n, out);
-  for (std::size_t r = 0; r < n; ++r) {
-    out[r] = out[r] * y_scale_ + y_mean_;
-    STURGEON_DCHECK(std::isfinite(out[r]),
-                    "MlpRegressor: non-finite prediction");
-  }
-}
-
 MlpClassifier::MlpClassifier(MlpParams params) : params_(std::move(params)) {
   if (params_.epochs < 1 || params_.batch_size < 1 ||
       params_.learning_rate <= 0.0) {
@@ -375,23 +337,6 @@ std::optional<int> MlpClassifier::box_label(const FeatureRow& lo,
 
 int MlpClassifier::predict(const FeatureRow& row) const {
   return predict_proba(row) >= 0.5 ? 1 : 0;
-}
-
-void MlpClassifier::predict_batch(const double* xs, std::size_t n,
-                                  std::size_t stride, int* out) const {
-  if (!scaler_.fitted()) throw std::logic_error("MlpClassifier: not fitted");
-  if (stride != scaler_.dim()) {
-    throw std::invalid_argument("MlpClassifier: arity mismatch");
-  }
-  std::vector<double> scaled(n * stride);
-  for (std::size_t r = 0; r < n; ++r) {
-    scaler_.transform_into(xs + r * stride, scaled.data() + r * stride);
-  }
-  std::vector<double> z(n);
-  net_.forward_batch(scaled.data(), n, z.data());
-  for (std::size_t r = 0; r < n; ++r) {
-    out[r] = sigmoid(z[r]) >= 0.5 ? 1 : 0;
-  }
 }
 
 }  // namespace sturgeon::ml

@@ -47,11 +47,6 @@ class MlpNet {
   /// scratch, as infer().
   Interval bounds(const double* lo, const double* hi) const;
 
-  /// Batched forward over `n` densely packed (already scaled) rows; writes
-  /// the n pre-activation outputs. Each layer is one matrix-matrix product,
-  /// but the per-output accumulation order matches forward() bit-for-bit.
-  void forward_batch(const double* xs, std::size_t n, double* out) const;
-
   /// Accumulate gradients for one sample given dLoss/dOutput.
   void backward(const FeatureRow& row,
                 const std::vector<std::vector<double>>& acts,
@@ -80,9 +75,6 @@ class MlpRegressor : public Regressor {
 
   void fit(const DataSet& data) override;
   double predict(const FeatureRow& row) const override;
-  using Regressor::predict_batch;
-  void predict_batch(const double* xs, std::size_t n, std::size_t stride,
-                     double* out) const override;
   std::string name() const override { return "MlpRegressor"; }
 
  private:
@@ -99,9 +91,6 @@ class MlpClassifier : public Classifier {
   void fit(const std::vector<FeatureRow>& x,
            const std::vector<int>& labels) override;
   int predict(const FeatureRow& row) const override;
-  using Classifier::predict_batch;
-  void predict_batch(const double* xs, std::size_t n, std::size_t stride,
-                     int* out) const override;
   std::string name() const override { return "MlpClassifier"; }
 
   double predict_proba(const FeatureRow& row) const;

@@ -1,72 +1,20 @@
 #include "ml/model.h"
 
-#include <cmath>
-#include <stdexcept>
-
-#include "util/check.h"
-
 namespace sturgeon::ml {
-
-namespace {
-
-/// Flatten uniform-arity rows into one dense row-major buffer; throws on
-/// ragged input (the strided batch contract needs a rectangular matrix).
-std::vector<double> flatten(const std::vector<FeatureRow>& x,
-                            std::size_t stride) {
-  std::vector<double> xs;
-  xs.reserve(x.size() * stride);
-  for (const auto& row : x) {
-    if (row.size() != stride) {
-      throw std::invalid_argument("predict_batch: ragged feature rows");
-    }
-    xs.insert(xs.end(), row.begin(), row.end());
-  }
-  return xs;
-}
-
-}  // namespace
-
-void Regressor::predict_batch(const double* xs, std::size_t n,
-                              std::size_t stride, double* out) const {
-  FeatureRow row(stride);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* r = xs + i * stride;
-    row.assign(r, r + stride);
-    out[i] = predict(row);
-  }
-}
 
 std::vector<double> Regressor::predict_batch(
     const std::vector<FeatureRow>& x) const {
-  if (x.empty()) return {};
-  const std::size_t stride = x[0].size();
-  const auto xs = flatten(x, stride);
-  std::vector<double> out(x.size());
-  predict_batch(xs.data(), x.size(), stride, out.data());
-  for (const double v : out) {
-    STURGEON_DCHECK(std::isfinite(v),
-                    "" << name() << ": non-finite prediction");
-  }
+  std::vector<double> out;
+  out.reserve(x.size());
+  for (const auto& row : x) out.push_back(predict(row));
   return out;
-}
-
-void Classifier::predict_batch(const double* xs, std::size_t n,
-                               std::size_t stride, int* out) const {
-  FeatureRow row(stride);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* r = xs + i * stride;
-    row.assign(r, r + stride);
-    out[i] = predict(row);
-  }
 }
 
 std::vector<int> Classifier::predict_batch(
     const std::vector<FeatureRow>& x) const {
-  if (x.empty()) return {};
-  const std::size_t stride = x[0].size();
-  const auto xs = flatten(x, stride);
-  std::vector<int> out(x.size());
-  predict_batch(xs.data(), x.size(), stride, out.data());
+  std::vector<int> out;
+  out.reserve(x.size());
+  for (const auto& row : x) out.push_back(predict(row));
   return out;
 }
 

@@ -1,16 +1,8 @@
 // Abstract model interfaces. The predictor layer (src/core) talks only to
-// these, so any model family can back a performance or power model.
-//
-// Batched inference: every model exposes a strided predict_batch over a
-// dense row-major feature matrix. The base implementation loops over the
-// scalar predict(); families with a cheap vectorized form (linear, SVM,
-// MLP matrix-matrix, ...) override it. Overrides must stay bit-identical
-// to the scalar path -- the predictor (src/core/predictor) fills its BE
-// tables through predict_batch, and a table entry must equal the scalar
-// answer it stands in for.
+// these, so any model family can back a performance or power model. Every
+// family answers through its scalar predict() alone.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,14 +25,7 @@ class Regressor {
 
   virtual std::string name() const = 0;
 
-  /// Batched prediction over a dense row-major matrix: `n` rows of
-  /// `stride` features each (row i starts at xs + i * stride, and all
-  /// `stride` values of a row are features). Writes one prediction per
-  /// row into `out`. Default: scalar-predict loop.
-  virtual void predict_batch(const double* xs, std::size_t n,
-                             std::size_t stride, double* out) const;
-
-  /// Convenience overload; flattens and forwards to the strided batch.
+  /// One predict() per row, in order.
   std::vector<double> predict_batch(const std::vector<FeatureRow>& x) const;
 };
 
@@ -63,11 +48,7 @@ class Classifier {
 
   virtual std::string name() const = 0;
 
-  /// Batched prediction; same matrix contract as Regressor::predict_batch.
-  virtual void predict_batch(const double* xs, std::size_t n,
-                             std::size_t stride, int* out) const;
-
-  /// Convenience overload; flattens and forwards to the strided batch.
+  /// One predict() per row, in order.
   std::vector<int> predict_batch(const std::vector<FeatureRow>& x) const;
 
   /// Interval pass: the label predict() provably returns for every row x

@@ -71,21 +71,6 @@ int SvmClassifier::predict(const FeatureRow& row) const {
   return decision_function(row) >= 0.0 ? 1 : 0;
 }
 
-void SvmClassifier::predict_batch(const double* xs, std::size_t n,
-                                  std::size_t stride, int* out) const {
-  if (!scaler_.fitted()) throw std::logic_error("SvmClassifier: not fitted");
-  if (stride != scaler_.dim()) {
-    throw std::invalid_argument("SvmClassifier: arity mismatch");
-  }
-  std::vector<double> scaled(stride);
-  for (std::size_t r = 0; r < n; ++r) {
-    scaler_.transform_into(xs + r * stride, scaled.data());
-    double z = b_;
-    for (std::size_t j = 0; j < stride; ++j) z += w_[j] * scaled[j];
-    out[r] = z >= 0.0 ? 1 : 0;
-  }
-}
-
 SvRegressor::SvRegressor(double c, double epsilon, int epochs,
                          std::uint64_t seed)
     : c_(c), epsilon_(epsilon), epochs_(epochs), seed_(seed) {
@@ -148,21 +133,6 @@ double SvRegressor::predict(const FeatureRow& row) const {
   double z = b_;
   for (std::size_t j = 0; j < xs.size(); ++j) z += w_[j] * xs[j];
   return z * y_scale_ + y_mean_;
-}
-
-void SvRegressor::predict_batch(const double* xs, std::size_t n,
-                                std::size_t stride, double* out) const {
-  if (!scaler_.fitted()) throw std::logic_error("SvRegressor: not fitted");
-  if (stride != scaler_.dim()) {
-    throw std::invalid_argument("SvRegressor: arity mismatch");
-  }
-  std::vector<double> scaled(stride);
-  for (std::size_t r = 0; r < n; ++r) {
-    scaler_.transform_into(xs + r * stride, scaled.data());
-    double z = b_;
-    for (std::size_t j = 0; j < stride; ++j) z += w_[j] * scaled[j];
-    out[r] = z * y_scale_ + y_mean_;
-  }
 }
 
 }  // namespace sturgeon::ml

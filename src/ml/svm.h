@@ -20,9 +20,6 @@ class SvmClassifier : public Classifier {
   void fit(const std::vector<FeatureRow>& x,
            const std::vector<int>& labels) override;
   int predict(const FeatureRow& row) const override;
-  using Classifier::predict_batch;
-  void predict_batch(const double* xs, std::size_t n, std::size_t stride,
-                     int* out) const override;
   std::string name() const override { return "SvmClassifier"; }
 
   /// Signed margin w.x + b.
@@ -44,9 +41,6 @@ class SvRegressor : public Regressor {
 
   void fit(const DataSet& data) override;
   double predict(const FeatureRow& row) const override;
-  using Regressor::predict_batch;
-  void predict_batch(const double* xs, std::size_t n, std::size_t stride,
-                     double* out) const override;
   std::string name() const override { return "SvRegressor"; }
 
  private:

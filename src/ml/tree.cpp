@@ -89,6 +89,7 @@ void CartTree::fit(const std::vector<FeatureRow>& x,
     throw std::invalid_argument("CartTree::fit: bad shapes");
   }
   nodes_.clear();
+  arity_ = x[0].size();
   params_ = params;
   classification_ = classification;
   rng_state_ = params.seed ? params.seed : 1;
@@ -191,20 +192,17 @@ int CartTree::build(const std::vector<FeatureRow>& x,
 }
 
 double CartTree::predict(const FeatureRow& row) const {
-  return predict(row.data(), row.size());
-}
-
-double CartTree::predict(const double* row, std::size_t arity) const {
   if (nodes_.empty()) throw std::logic_error("CartTree: not fitted");
+  if (row.size() != arity_) {
+    throw std::invalid_argument("CartTree::predict: arity mismatch");
+  }
   int cur = 0;
   for (;;) {
     const TreeNode& node = nodes_[static_cast<std::size_t>(cur)];
     if (node.feature < 0) return node.value;
-    const std::size_t f = static_cast<std::size_t>(node.feature);
-    if (f >= arity) {
-      throw std::invalid_argument("CartTree::predict: arity mismatch");
-    }
-    cur = row[f] <= node.threshold ? node.left : node.right;
+    cur = row[static_cast<std::size_t>(node.feature)] <= node.threshold
+              ? node.left
+              : node.right;
   }
 }
 
@@ -238,14 +236,6 @@ double DecisionTreeRegressor::predict(const FeatureRow& row) const {
   return tree_.predict(row);
 }
 
-void DecisionTreeRegressor::predict_batch(const double* xs, std::size_t n,
-                                          std::size_t stride,
-                                          double* out) const {
-  for (std::size_t r = 0; r < n; ++r) {
-    out[r] = tree_.predict(xs + r * stride, stride);
-  }
-}
-
 void DecisionTreeClassifier::fit(const std::vector<FeatureRow>& x,
                                  const std::vector<int>& labels) {
   if (x.empty() || x.size() != labels.size()) {
@@ -257,15 +247,6 @@ void DecisionTreeClassifier::fit(const std::vector<FeatureRow>& x,
 
 int DecisionTreeClassifier::predict(const FeatureRow& row) const {
   return static_cast<int>(std::lround(tree_.predict(row)));
-}
-
-void DecisionTreeClassifier::predict_batch(const double* xs, std::size_t n,
-                                           std::size_t stride,
-                                           int* out) const {
-  for (std::size_t r = 0; r < n; ++r) {
-    out[r] = static_cast<int>(std::lround(tree_.predict(xs + r * stride,
-                                                        stride)));
-  }
 }
 
 }  // namespace sturgeon::ml

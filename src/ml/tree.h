@@ -36,10 +36,9 @@ class CartTree {
   /// payload from mean to majority label.
   void fit(const std::vector<FeatureRow>& x, const std::vector<double>& y,
            const TreeParams& params, bool classification);
+  /// Throws std::invalid_argument unless `row` has the arity of the rows
+  /// the tree was fitted on, whichever features the traversal visits.
   double predict(const FeatureRow& row) const;
-  /// Raw-pointer traversal for batched callers; `arity` bounds the
-  /// feature indices the tree may touch.
-  double predict(const double* row, std::size_t arity) const;
   bool fitted() const { return !nodes_.empty(); }
   std::size_t node_count() const { return nodes_.size(); }
   int depth() const;
@@ -50,6 +49,7 @@ class CartTree {
             int depth);
 
   std::vector<TreeNode> nodes_;
+  std::size_t arity_ = 0;
   TreeParams params_;
   bool classification_ = false;
   std::uint64_t rng_state_ = 1;
@@ -62,9 +62,6 @@ class DecisionTreeRegressor : public Regressor {
 
   void fit(const DataSet& data) override;
   double predict(const FeatureRow& row) const override;
-  using Regressor::predict_batch;
-  void predict_batch(const double* xs, std::size_t n, std::size_t stride,
-                     double* out) const override;
   std::string name() const override { return "DecisionTreeRegressor"; }
 
   const detail::CartTree& tree() const { return tree_; }
@@ -81,9 +78,6 @@ class DecisionTreeClassifier : public Classifier {
   void fit(const std::vector<FeatureRow>& x,
            const std::vector<int>& labels) override;
   int predict(const FeatureRow& row) const override;
-  using Classifier::predict_batch;
-  void predict_batch(const double* xs, std::size_t n, std::size_t stride,
-                     int* out) const override;
   std::string name() const override { return "DecisionTreeClassifier"; }
 
   const detail::CartTree& tree() const { return tree_; }

@@ -25,6 +25,30 @@ std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream,
   return derive_seed(derive_seed(root, stream), substream);
 }
 
+std::uint64_t stable_hash(std::string_view s) {
+  constexpr std::uint64_t kMul = 0xc6a4a7935bd1e995ULL;
+  const auto load = [s](std::size_t at, std::size_t n) {
+    std::uint64_t v = 0;  // s[at, at + n) as a little-endian integer
+    for (std::size_t i = n; i-- > 0;) {
+      v = (v << 8) | static_cast<unsigned char>(s[at + i]);
+    }
+    return v;
+  };
+  const auto shift_mix = [](std::uint64_t v) { return v ^ (v >> 47); };
+  const std::size_t tail = s.size() % 8;
+  const std::size_t body = s.size() - tail;
+  std::uint64_t h = 0xc70f6907ULL ^ (s.size() * kMul);
+  for (std::size_t at = 0; at < body; at += 8) {
+    h ^= shift_mix(load(at, 8) * kMul) * kMul;
+    h *= kMul;
+  }
+  if (tail != 0) {
+    h ^= load(body, tail);
+    h *= kMul;
+  }
+  return shift_mix(shift_mix(h) * kMul);
+}
+
 namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string_view>
 
 namespace sturgeon {
 
@@ -27,6 +28,13 @@ std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream);
 /// derive_seed(root, node, component).
 std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream,
                           std::uint64_t substream);
+
+/// 64-bit hash of `s` that no toolchain can change, for seeds drawn from a
+/// name (a profiling campaign per LS/BE set): MurmurHash2 (64-bit) with
+/// seed 0xc70f6907 over little-endian 8-byte words. It is the function
+/// libstdc++'s std::hash<std::string> computes on a 64-bit little-endian
+/// target, so seeds and digests taken with that hash stay as they were.
+std::uint64_t stable_hash(std::string_view s);
 
 /// Log-space parameters of a lognormal: exp(mu + sigma * N(0, 1)).
 struct LognormalParams {

@@ -1,11 +1,14 @@
-// Batched inference contract: for every model family, predict_batch must
-// reproduce the scalar predict() bit-for-bit (same accumulation order),
-// because the core prediction cache serves batched results where the
-// uncached path would have called predict() -- search results must not
-// change when the cache is enabled.
+// Inference contract of the ml layer. Every model family answers through
+// its scalar predict() alone, and predict_batch(rows) is one predict() per
+// row, so each family must reject what its predict() cannot answer: a row
+// of the wrong width, or any row before fit(). The MLP's scalar predict()
+// runs MlpNet::infer over per-thread scratch; it must return what the
+// training pass, MlpNet::forward, computes, bit for bit and at any width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -33,21 +36,12 @@ DataSet random_regression_data(std::size_t n, std::uint64_t seed) {
   return d;
 }
 
-std::vector<FeatureRow> random_rows(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<FeatureRow> rows(n);
-  for (auto& row : rows) {
-    row.resize(kArity);
-    for (auto& v : row) v = rng.uniform(-1.0, 5.0);
+std::vector<int> random_labels(const std::vector<FeatureRow>& rows) {
+  std::vector<int> labels(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    labels[i] = rows[i][0] + rows[i][1] > rows[i][2] + rows[i][3] ? 1 : 0;
   }
-  return rows;
-}
-
-std::vector<double> flatten(const std::vector<FeatureRow>& rows) {
-  std::vector<double> flat;
-  flat.reserve(rows.size() * kArity);
-  for (const auto& row : rows) flat.insert(flat.end(), row.begin(), row.end());
-  return flat;
+  return labels;
 }
 
 std::vector<ModelKind> regressor_kinds() {
@@ -62,65 +56,19 @@ std::vector<ModelKind> classifier_kinds() {
           ModelKind::kMlp};
 }
 
-TEST(BatchPredict, RegressorsBitIdenticalToScalar) {
-  const auto train = random_regression_data(240, 11);
-  const auto rows = random_rows(64, 12);
-  const auto flat = flatten(rows);
-  for (ModelKind kind : regressor_kinds()) {
-    auto model = make_regressor(kind);
-    model->fit(train);
-    std::vector<double> batch(rows.size());
-    model->predict_batch(flat.data(), rows.size(), kArity, batch.data());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i]),
-                std::bit_cast<std::uint64_t>(model->predict(rows[i])))
-          << to_string(kind) << " row " << i;
-    }
-    // The vector<FeatureRow> convenience overload must agree too.
-    const auto vec = model->predict_batch(rows);
-    ASSERT_EQ(vec.size(), rows.size()) << to_string(kind);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(vec[i]),
-                std::bit_cast<std::uint64_t>(batch[i]))
-          << to_string(kind) << " row " << i;
-    }
-  }
-}
-
-TEST(BatchPredict, ClassifiersMatchScalar) {
-  const auto rows = random_rows(200, 13);
-  std::vector<int> labels(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    labels[i] = rows[i][0] + rows[i][1] > rows[i][2] + rows[i][3] ? 1 : 0;
-  }
-  const auto test_rows = random_rows(64, 14);
-  const auto flat = flatten(test_rows);
-  for (ModelKind kind : classifier_kinds()) {
-    auto model = make_classifier(kind);
-    model->fit(rows, labels);
-    std::vector<int> batch(test_rows.size());
-    model->predict_batch(flat.data(), test_rows.size(), kArity, batch.data());
-    for (std::size_t i = 0; i < test_rows.size(); ++i) {
-      EXPECT_EQ(batch[i], model->predict(test_rows[i]))
-          << to_string(kind) << " row " << i;
-    }
-    const auto vec = model->predict_batch(test_rows);
-    ASSERT_EQ(vec.size(), test_rows.size()) << to_string(kind);
-    for (std::size_t i = 0; i < test_rows.size(); ++i) {
-      EXPECT_EQ(vec[i], batch[i]) << to_string(kind) << " row " << i;
-    }
-  }
-}
-
 // Training data with the runtime's LS feature layout {kQPS, cores, GHz,
-// ways} on the paper platform: a power-like target and a QoS-like label.
+// ways} on the paper platform, standardized as the MLP wrappers do: a
+// standardized power-like target and a QoS-like label.
 struct SliceData {
-  DataSet regression;
-  std::vector<int> labels;
+  StandardScaler scaler;
+  std::vector<FeatureRow> x;
+  std::vector<double> power;
+  std::vector<double> label;
 };
 
 SliceData slice_training_data(const MachineSpec& machine) {
   Rng rng(21);
+  std::vector<FeatureRow> raw;
   SliceData d;
   for (int i = 0; i < 300; ++i) {
     const double kqps = rng.uniform(0.0, 60.0);
@@ -128,55 +76,79 @@ SliceData slice_training_data(const MachineSpec& machine) {
     const double ghz =
         machine.freq_at(rng.uniform_int(0, machine.max_freq_level()));
     const double ways = rng.uniform_int(1, machine.llc_ways);
-    d.regression.add({kqps, cores, ghz, ways},
-                     20.0 + 2.5 * cores * ghz * ghz + 0.1 * kqps);
-    d.labels.push_back(cores * ghz >= 0.5 * kqps && ways >= 3 ? 1 : 0);
+    raw.push_back({kqps, cores, ghz, ways});
+    d.power.push_back(20.0 + 2.5 * cores * ghz * ghz + 0.1 * kqps);
+    d.label.push_back(cores * ghz >= 0.5 * kqps && ways >= 3 ? 1.0 : 0.0);
   }
+  d.scaler.fit(raw);
+  d.x = d.scaler.transform(raw);
+  double mean = 0.0, var = 0.0;
+  for (double p : d.power) mean += p / static_cast<double>(d.power.size());
+  for (double p : d.power) var += (p - mean) * (p - mean);
+  const double sd = std::sqrt(var / static_cast<double>(d.power.size()));
+  for (double& p : d.power) p = (p - mean) / sd;
   return d;
 }
 
+// A net trained on `targets` by mini-batch Adam, as the MLP wrappers
+// train theirs: squared loss on the output, or cross-entropy on its
+// sigmoid when `logistic`.
+detail::MlpNet trained_net(const SliceData& data,
+                           const std::vector<double>& targets,
+                           const std::vector<int>& hidden, int epochs,
+                           bool logistic) {
+  detail::MlpNet net;
+  net.init(kArity, hidden, 23);
+  std::vector<std::vector<double>> acts;
+  int step = 0;
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    for (std::size_t start = 0; start < data.x.size(); start += 32) {
+      const std::size_t end = std::min(data.x.size(), start + 32);
+      for (std::size_t i = start; i < end; ++i) {
+        const double z = net.forward(data.x[i], acts);
+        const double out = logistic ? 1.0 / (1.0 + std::exp(-z)) : z;
+        net.backward(data.x[i], acts, out - targets[i]);
+      }
+      net.apply_adam(5e-3, 1e-5, end - start, ++step);
+    }
+  }
+  return net;
+}
+
 // Sweeps every (cores, P-state, ways) slice of the paper platform, cores
-// and ways including 0, at several loads: the scalar predict() the
-// runtime calls per query must agree with predict_batch bit for bit on
-// every row.
-void expect_scalar_matches_batch_on_slice_grid(const MachineSpec& machine,
-                                               const Regressor& regressor,
-                                               const Classifier& classifier) {
+// and ways including 0, at several loads: infer(), which every scalar MLP
+// predict() runs, must return forward()'s output bit for bit on every row.
+void expect_infer_matches_forward_on_slice_grid(const MachineSpec& machine,
+                                                const StandardScaler& scaler,
+                                                const detail::MlpNet& net) {
+  std::vector<std::vector<double>> acts;
   for (double kqps : {0.0, 6.0, 23.5, 48.0}) {
-    std::vector<FeatureRow> rows;
     for (int c = 0; c <= machine.num_cores; ++c) {
       for (int f = 0; f <= machine.max_freq_level(); ++f) {
         for (int w = 0; w <= machine.llc_ways; ++w) {
-          rows.push_back({kqps, static_cast<double>(c), machine.freq_at(f),
-                          static_cast<double>(w)});
+          const FeatureRow x =
+              scaler.transform({kqps, static_cast<double>(c),
+                                machine.freq_at(f), static_cast<double>(w)});
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(net.infer(x.data())),
+                    std::bit_cast<std::uint64_t>(net.forward(x, acts)))
+              << "kqps " << kqps << " slice " << c << "C " << f << "F " << w
+              << "W";
         }
       }
-    }
-    const auto flat = flatten(rows);
-    std::vector<double> values(rows.size());
-    regressor.predict_batch(flat.data(), rows.size(), kArity, values.data());
-    std::vector<int> classes(rows.size());
-    classifier.predict_batch(flat.data(), rows.size(), kArity,
-                             classes.data());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(regressor.predict(rows[i])),
-                std::bit_cast<std::uint64_t>(values[i]))
-          << "kqps " << kqps << " row " << i;
-      ASSERT_EQ(classifier.predict(rows[i]), classes[i])
-          << "kqps " << kqps << " row " << i;
     }
   }
 }
 
-// The MLP family as the trainer deploys it (factory hyperparameters).
+// Nets of the width the factory deploys, trained as a power regressor and
+// as a QoS classifier.
 TEST(BatchPredict, DeployedMlpScalarMatchesBatchOnSliceGrid) {
   const MachineSpec machine = MachineSpec::xeon_e5_2630_v4();
   const SliceData data = slice_training_data(machine);
-  auto regressor = make_regressor(ModelKind::kMlp);
-  regressor->fit(data.regression);
-  auto classifier = make_classifier(ModelKind::kMlp);
-  classifier->fit(data.regression.x, data.labels);
-  expect_scalar_matches_batch_on_slice_grid(machine, *regressor, *classifier);
+  const auto regressor = trained_net(data, data.power, {16}, 150, false);
+  const auto classifier = trained_net(data, data.label, {16}, 150, true);
+  expect_infer_matches_forward_on_slice_grid(machine, data.scaler, regressor);
+  expect_infer_matches_forward_on_slice_grid(machine, data.scaler,
+                                             classifier);
 }
 
 // Nets wider than anything deployed, with two hidden layers of different
@@ -184,23 +156,16 @@ TEST(BatchPredict, DeployedMlpScalarMatchesBatchOnSliceGrid) {
 TEST(BatchPredict, WideMlpScalarMatchesBatchOnSliceGrid) {
   const MachineSpec machine = MachineSpec::xeon_e5_2630_v4();
   const SliceData data = slice_training_data(machine);
-  MlpParams params;
-  params.hidden = {96, 24};
-  params.epochs = 5;
-  MlpRegressor regressor(params);
-  regressor.fit(data.regression);
-  params.hidden = {24, 130};
-  MlpClassifier classifier(params);
-  classifier.fit(data.regression.x, data.labels);
-  expect_scalar_matches_batch_on_slice_grid(machine, regressor, classifier);
+  const auto regressor = trained_net(data, data.power, {96, 24}, 5, false);
+  const auto classifier = trained_net(data, data.label, {24, 130}, 5, true);
+  expect_infer_matches_forward_on_slice_grid(machine, data.scaler, regressor);
+  expect_infer_matches_forward_on_slice_grid(machine, data.scaler,
+                                             classifier);
 }
 
 TEST(BatchPredict, EmptyBatchIsNoop) {
   auto model = make_regressor(ModelKind::kLinear);
   model->fit(random_regression_data(50, 15));
-  double sentinel = 42.0;
-  model->predict_batch(nullptr, 0, kArity, &sentinel);
-  EXPECT_EQ(sentinel, 42.0);
   EXPECT_TRUE(model->predict_batch(std::vector<FeatureRow>{}).empty());
 }
 
@@ -211,29 +176,40 @@ TEST(BatchPredict, RaggedRowsRejected) {
   EXPECT_THROW(model->predict_batch(ragged), std::invalid_argument);
 }
 
+// Every family rejects a row one feature shorter or one longer than the
+// rows it was fitted on, whichever features its predict() reads.
 TEST(BatchPredict, ArityMismatchRejected) {
-  const auto train = random_regression_data(50, 17);
-  std::vector<double> xs(6, 1.0);
-  std::vector<double> out(2);
-  for (ModelKind kind : {ModelKind::kLinear, ModelKind::kKnn, ModelKind::kSvm,
-                         ModelKind::kMlp}) {
+  const auto train = random_regression_data(120, 17);
+  const auto labels = random_labels(train.x);
+  const FeatureRow shorter(kArity - 1, 1.0);
+  const FeatureRow longer(kArity + 1, 1.0);
+  for (ModelKind kind : regressor_kinds()) {
     auto model = make_regressor(kind);
     model->fit(train);
-    EXPECT_THROW(model->predict_batch(xs.data(), 2, 3, out.data()),
-                 std::invalid_argument)
-        << to_string(kind);
+    EXPECT_THROW(model->predict(shorter), std::invalid_argument)
+        << to_string(kind) << " regressor, shorter row";
+    EXPECT_THROW(model->predict(longer), std::invalid_argument)
+        << to_string(kind) << " regressor, longer row";
+  }
+  for (ModelKind kind : classifier_kinds()) {
+    auto model = make_classifier(kind);
+    model->fit(train.x, labels);
+    EXPECT_THROW(model->predict(shorter), std::invalid_argument)
+        << to_string(kind) << " classifier, shorter row";
+    EXPECT_THROW(model->predict(longer), std::invalid_argument)
+        << to_string(kind) << " classifier, longer row";
   }
 }
 
 TEST(BatchPredict, UnfittedRejected) {
-  std::vector<double> xs(kArity, 1.0);
-  double out = 0.0;
-  for (ModelKind kind : {ModelKind::kLinear, ModelKind::kKnn,
-                         ModelKind::kSvm, ModelKind::kMlp}) {
-    auto model = make_regressor(kind);
-    EXPECT_THROW(model->predict_batch(xs.data(), 1, kArity, &out),
-                 std::logic_error)
-        << to_string(kind);
+  const FeatureRow row(kArity, 1.0);
+  for (ModelKind kind : regressor_kinds()) {
+    EXPECT_THROW(make_regressor(kind)->predict(row), std::logic_error)
+        << to_string(kind) << " regressor";
+  }
+  for (ModelKind kind : classifier_kinds()) {
+    EXPECT_THROW(make_classifier(kind)->predict(row), std::logic_error)
+        << to_string(kind) << " classifier";
   }
 }
 

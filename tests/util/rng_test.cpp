@@ -4,6 +4,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace sturgeon {
@@ -157,6 +160,48 @@ TEST(DeriveSeed, SubstreamOverloadAddsSecondLevel) {
   EXPECT_NE(derive_seed(5, 2, 3), derive_seed(5, 3, 2));
   EXPECT_NE(derive_seed(5, 2, 3), derive_seed(5, 2));
 }
+
+// The trainer seeds each set's profiling campaign with stable_hash(name),
+// so these values pin the campaign of every LS and BE set the repository
+// trains: the catalog's, and the scaled memcached sets of the benches,
+// examples and benchmark workloads.
+TEST(StableHash, PinsEverySetName) {
+  const std::pair<std::string, std::uint64_t> pinned[] = {
+      {"memcached", 0x7cc30727fad722d8ULL},
+      {"xapian", 0x28ef8497131043f5ULL},
+      {"img-dnn", 0x3be5d7bfb4567878ULL},
+      {"memcached-chaos", 0xff5bfa967f689a04ULL},
+      {"memcached-fleet", 0x9af5f21e182311c0ULL},
+      {"memcached-scale", 0x5367f15517970c94ULL},
+      {"memcached-comms", 0xbb66ab38d0533019ULL},
+      {"memcached-fleet-demo", 0x2eb68c34099d9290ULL},
+      {"bs", 0x2ab28ba16d9b8663ULL},
+      {"fa", 0xc1d5a77b47a5dd98ULL},
+      {"fe", 0x420677907cff0caeULL},
+      {"rt", 0x3ac50b78bf9e015cULL},
+      {"sp", 0xb917714384c04f23ULL},
+      {"fd", 0x79b1f45582d1ce1eULL},
+      {"", 0x553e93901e462a6eULL},
+  };
+  for (const auto& [name, value] : pinned) {
+    EXPECT_EQ(stable_hash(name), value) << '"' << name << '"';
+  }
+}
+
+#if defined(__GLIBCXX__) && __SIZEOF_SIZE_T__ == 8 && \
+    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+// stable_hash is libstdc++'s std::hash<std::string> on this target, so the
+// campaigns it seeds are the ones that hash seeded: every tail length and
+// every byte value.
+TEST(StableHash, EqualsLibstdcxxStdHash) {
+  Rng rng(0x5ab1e);
+  for (int i = 0; i < 100000; ++i) {
+    std::string s(rng.next_below(41), '\0');
+    for (char& c : s) c = static_cast<char>(rng.next_below(256));
+    ASSERT_EQ(stable_hash(s), std::hash<std::string>{}(s)) << "string " << i;
+  }
+}
+#endif
 
 TEST(Rng, ForkIsIndependentAndStable) {
   Rng parent(99);

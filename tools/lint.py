@@ -17,9 +17,10 @@ Rules:
          alphabetically sorted
   SL005  TODO/FIXME without an issue reference (write `TODO(#123): ...`)
   SL006  `using namespace` at file scope in a header
-  SL007  determinism: wall-clock/entropy sources banned in src/
-         (std::random_device, time(), clock(), std::chrono::system_clock);
-         use an injectable clock or util/rng.h derive_seed streams
+  SL007  determinism: wall-clock/entropy sources and implementation-
+         defined hashes banned in src/ (std::random_device, time(),
+         clock(), std::chrono::system_clock, std::hash); use an
+         injectable clock, util/rng.h derive_seed streams or stable_hash
   SL008  determinism: std::unordered_map/unordered_set in exporter /
          recorder / report / search files in src/ where iteration order
          can reach output (bit-identity hazard); use std::map or sort a
@@ -78,6 +79,10 @@ NONDETERMINISM_RES = (
     (re.compile(r"\bstd::chrono::system_clock\b"),
      "std::chrono::system_clock banned in src/: use steady_clock behind "
      "an injectable clock; wall-clock timestamps break bit-identity"),
+    (re.compile(r"\bstd::hash\b"),
+     "std::hash banned in src/: its values are implementation-defined, so "
+     "a seed or digest built on it changes with the standard library; "
+     "use util/rng.h stable_hash"),
 )
 
 # SL008 applies where iteration order plausibly reaches program output.
@@ -383,6 +388,20 @@ SELF_TEST_FIXTURES: list[tuple[str, str, list[str]]] = [
      []),
     ("tests/f/wallclock_in_test.cpp",
      "long f() { return time(nullptr); }\n", []),
+    # SL007: std::hash fires in src/; stable_hash and the unordered
+    # containers (whose default hasher it is, left to SL008) stay legal
+    ("src/f/name_seed.cpp",
+     "#include <functional>\n"
+     "#include <string>\n"
+     "auto f(const std::string& s) { return std::hash<std::string>{}(s); }\n",
+     ["SL007"]),
+    ("src/f/name_seed_ok.cpp",
+     "#include <string>\n"
+     "#include <unordered_map>\n\n"
+     "#include \"util/rng.h\"\n"
+     "std::unordered_map<std::string, int> g_index;\n"
+     "auto f(const std::string& s) { return sturgeon::stable_hash(s); }\n",
+     []),
     # SL008: order-sensitive file names flag unordered containers; the
     # waiver comment and order-insensitive files stay clean
     ("src/f/rollup_export.cpp",
