@@ -1,13 +1,14 @@
-// Chaos-net quickstart: the same fleet run twice with all coordinator
-// traffic routed through the simulated message channel -- once over a
-// reliable (zero-fault) network, once under chaos-net (message drops,
-// reordering, and a full coordinator partition window). Cap grants are
-// leases; nodes whose lease lapses fall back to a conservative
-// autonomous cap, so the budget is never oversubscribed no matter what
-// the network eats.
+// Chaos-net quickstart: the same fleet run twice with comms enabled --
+// once over a zero-fault network (the "reliable" row), once under
+// chaos-net (message drops, reordering, and a full coordinator
+// partition window), where all coordinator traffic crosses the
+// simulated message channel. Cap grants are leases; nodes whose lease
+// lapses fall back to a conservative autonomous cap, so the budget is
+// never oversubscribed no matter what the network eats.
 //
-// The side-by-side table is the point: the reliable run behaves exactly
-// like the direct shared-memory path, the chaos run keeps
+// The side-by-side table is the point: on a zero-fault network every
+// message would land in its send epoch, so the "reliable" run IS the
+// direct shared-memory path (no message sent); the chaos run keeps
 // max_cap_sum_ratio <= 1 while the comms counters show what the
 // network did and what the lease machinery absorbed.
 //

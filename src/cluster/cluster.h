@@ -62,9 +62,9 @@ struct ClusterConfig {
   /// disabled (no injector constructed anywhere).
   fault::FaultConfig faults;
   /// Coordinator<->node messaging. Disabled (direct shared-memory
-  /// paths) by default; enabled with a zero-fault network it stays
-  /// bit-identical to the direct paths, and with network faults the
-  /// lease machinery keeps sum(true caps) <= budget under message loss.
+  /// paths) by default; a zero-fault network runs the direct paths too.
+  /// With network faults the lease machinery keeps sum(true caps) <=
+  /// budget under message loss.
   comms::CommsConfig comms;
 };
 

@@ -25,10 +25,9 @@ constexpr std::uint64_t kUpDirection = 2;
 
 MessageChannel::MessageChannel(const fault::NetworkFaultConfig& network,
                                std::uint64_t seed, int nodes)
-    : reliable_(!network.any()), to_node_(static_cast<std::size_t>(nodes)) {
+    : to_node_(static_cast<std::size_t>(nodes)) {
   STURGEON_CHECK(nodes > 0, "MessageChannel: need at least one node, got "
                                 << nodes);
-  if (reliable_) return;
   down_links_.reserve(static_cast<std::size_t>(nodes));
   up_links_.reserve(static_cast<std::size_t>(nodes));
   for (int i = 0; i < nodes; ++i) {
@@ -42,24 +41,15 @@ MessageChannel::MessageChannel(const fault::NetworkFaultConfig& network,
 }
 
 void MessageChannel::send(std::vector<Envelope>& queue,
-                          fault::LinkFaultInjector* link,
+                          fault::LinkFaultInjector& link,
                           const Message& message, int t, bool grant) {
   ++stats_.sent;
   if (grant) ++grant_stats_.sent;
 
   Envelope env;
   env.message = message;
-  env.deliver_epoch = t;
   env.send_seq = ++send_seq_;
-  // FIFO order keys live in the top half of the key space so a
-  // reordered message's random key usually sorts it ahead of its batch.
-  env.order_key = (1ULL << 63) + env.send_seq;
-  if (link == nullptr) {  // reliable channel
-    queue.push_back(env);
-    return;
-  }
-
-  const fault::LinkFate fate = link->on_send(t);
+  const fault::LinkFate fate = link.on_send(t);
   if (fate.dropped) {
     ++stats_.dropped;
     if (grant) ++grant_stats_.dropped;
@@ -85,14 +75,14 @@ void MessageChannel::send(std::vector<Envelope>& queue,
 }
 
 void MessageChannel::send_to_node(int node, const Message& message, int t) {
-  auto& queue = to_node_.at(static_cast<std::size_t>(node));
-  send(queue, reliable_ ? nullptr : &down_links_[static_cast<std::size_t>(node)],
-       message, t, message.kind == MsgKind::kCapGrant);
+  const auto i = static_cast<std::size_t>(node);
+  send(to_node_.at(i), down_links_.at(i), message, t,
+       message.kind == MsgKind::kCapGrant);
 }
 
 void MessageChannel::send_to_coord(int node, const Message& message, int t) {
-  send(to_coord_, reliable_ ? nullptr : &up_links_[static_cast<std::size_t>(node)],
-       message, t, false);
+  send(to_coord_, up_links_.at(static_cast<std::size_t>(node)), message, t,
+       false);
 }
 
 std::vector<Message> MessageChannel::recv(std::vector<Envelope>& queue, int t) {

@@ -10,17 +10,20 @@
 // all sends and receives happen in the engines' sequential phases.
 //
 // Delivery model (virtual epoch clock, no wall time):
-//   - a message sent at epoch t is normally receivable at epoch t
-//     (same-epoch delivery: the coordinator's grant reaches the node
-//     before the node steps, exactly like the direct transport);
+//   - every send draws its fate from its link's injector. On a link
+//     with no fault configured a message sent at epoch t is delivered
+//     once, at epoch t (the coordinator's grant reaches the node before
+//     the node steps), in per-link FIFO order;
 //   - a delay fault postpones delivery by 1..max_delay_epochs;
 //   - a duplicate fault delivers a second copy one epoch after the
 //     first (the interesting case for idempotence: the dupe arrives in
 //     a LATER receive batch);
 //   - receives drain every message with deliver_epoch <= t, ordered by
 //     (deliver_epoch, order_key, send sequence). Non-reordered sends
-//     carry monotone order keys (FIFO); a reorder fault assigns a
-//     random key that sorts the message ahead of / between its batch.
+//     carry their link's monotone order keys (per-link FIFO; the up
+//     links share the coordinator's queue and interleave by key, then
+//     by send sequence); a reorder fault assigns a random key that
+//     sorts the message ahead of / between its batch.
 //
 // Accounting identity (validated end-to-end by trace_stats):
 //   sent == delivered + dropped + in_flight
@@ -55,9 +58,6 @@ class MessageChannel {
   MessageChannel(const fault::NetworkFaultConfig& network, std::uint64_t seed,
                  int nodes);
 
-  /// True when no perturbation is configured: every send is delivered
-  /// in the same epoch, in FIFO order, exactly once.
-  bool reliable() const { return reliable_; }
   int nodes() const { return static_cast<int>(to_node_.size()); }
 
   void send_to_node(int node, const Message& message, int t);
@@ -82,11 +82,10 @@ class MessageChannel {
     bool duplicate = false;
   };
 
-  void send(std::vector<Envelope>& queue, fault::LinkFaultInjector* link,
+  void send(std::vector<Envelope>& queue, fault::LinkFaultInjector& link,
             const Message& message, int t, bool grant);
   std::vector<Message> recv(std::vector<Envelope>& queue, int t);
 
-  bool reliable_ = true;
   std::vector<fault::LinkFaultInjector> down_links_;  // coordinator -> node
   std::vector<fault::LinkFaultInjector> up_links_;    // node -> coordinator
   std::vector<std::vector<Envelope>> to_node_;

@@ -30,7 +30,6 @@ CommsFabric::CommsFabric(const CommsConfig& config, std::uint64_t seed,
                          std::vector<cluster::NodeReport> initial_reports,
                          std::vector<double> idle_w)
     : config_(config),
-      budget_w_(budget_w),
       channel_(config.network, seed,
                static_cast<int>(initial_reports.size())),
       ledger_(autonomous_split(budget_w, idle_w), budget_w),
@@ -63,7 +62,6 @@ CommsFabric::CommsFabric(const CommsConfig& config, std::uint64_t seed,
 }
 
 void CommsFabric::handle_ack(int node, std::uint64_t ack_seq) {
-  if (channel_.reliable()) return;  // no clamping, no retransmits
   if (ledger_.on_ack(node, ack_seq)) {
     const auto i = static_cast<std::size_t>(node);
     attempts_[i] = 0;  // progress: restart the backoff ladder
@@ -118,18 +116,6 @@ void CommsFabric::send_grants(const std::vector<double>& desired_w,
   STURGEON_CHECK(static_cast<int>(desired_w.size()) == n &&
                      static_cast<int>(dead.size()) == n,
                  "CommsFabric::send_grants: fleet size mismatch");
-  if (channel_.reliable()) {
-    // Bit-compat mode: the desired cap IS the cap, delivered this
-    // epoch, renewed every epoch; liveness stays the tracker's job.
-    for (int i = 0; i < n; ++i) {
-      Message m;
-      m.kind = MsgKind::kCapGrant;
-      m.grant = CapGrant{ledger_.next_seq(i), desired_w[i], t + 1, t};
-      channel_.send_to_node(i, m, t);
-    }
-    return;
-  }
-
   ledger_.prune(t);
   // Term-aligned expiry; inside the renewal window grants are already
   // stamped for the next term (a grant that dies in renew_ahead epochs

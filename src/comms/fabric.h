@@ -12,14 +12,14 @@
 //   collect(t)                 drain the coordinator inbox: refresh the
 //                              report vector, heartbeat epochs, acks,
 //                              and the one-shot lease-lapse flags;
-//   send_grants(desired, ...)  coordinator -> nodes. Reliable channel:
-//                              every node gets its desired cap, same
-//                              epoch, unclamped -- bit-identical to the
-//                              direct path. Lossy channel: leases with
+//   send_grants(desired, ...)  coordinator -> nodes: leases with
 //                              term-aligned expiries, ledger-clamped
 //                              (lease.h invariant), bounded-exponential
 //                              re-send with deterministic jitter, no
-//                              sends to dead-classified nodes;
+//                              sends to dead-classified nodes. The
+//                              protocol is the same whatever the
+//                              network does; on a zero-fault network
+//                              every grant lands in its send epoch;
 //   effective_caps(t)          node side: adopt due grants, return the
 //                              cap each node actually runs this epoch
 //                              (the TRUE caps the budget check sums);
@@ -52,7 +52,6 @@ class CommsFabric {
               std::vector<cluster::NodeReport> initial_reports,
               std::vector<double> idle_w);
 
-  bool reliable() const { return channel_.reliable(); }
   int nodes() const { return static_cast<int>(reports_.size()); }
 
   // -- coordinator side ------------------------------------------------
@@ -103,7 +102,6 @@ class CommsFabric {
   void maybe_grant(int node, double desired_w, int expiry_epoch, int t);
 
   CommsConfig config_;
-  double budget_w_;
   MessageChannel channel_;
   LeaseLedger ledger_;
   std::vector<LeaseClient> clients_;

@@ -80,9 +80,11 @@ struct Message {
 };
 
 struct CommsConfig {
-  /// Route coordinator<->node traffic through the message channel. Off
-  /// by default: the engines keep their direct shared-memory paths and
-  /// nothing below is consulted.
+  /// Route coordinator<->node traffic through the message channel when
+  /// `network` can fault. Off by default. On a zero-fault network every
+  /// message would land in its send epoch, so FleetSim keeps its direct
+  /// path even with this set: the fields below are read only when
+  /// `network.any()` (or by a CommsFabric built directly).
   bool enabled = false;
   /// Lease term length. Grants expire at the next term boundary (epoch
   /// multiples of this), so all leases in a term lapse together.
@@ -95,9 +97,9 @@ struct CommsConfig {
   /// Ceiling, in epochs, of the bounded-exponential grant re-send
   /// backoff (the base and the jitter are fixed in fabric.cpp).
   int retry_max_epochs = 8;
-  /// Link perturbation. All-zero (the default) makes the channel
-  /// RELIABLE: same-epoch delivery, no lease clamping, no retries --
-  /// bit-identical to the direct shared-memory paths.
+  /// Link perturbation. All-zero (the default) is a zero-fault
+  /// network: each message is delivered once, in its send epoch, in
+  /// per-link FIFO order.
   fault::NetworkFaultConfig network;
 };
 

@@ -97,9 +97,9 @@ struct NetworkFaultConfig {
   int partition_epochs = 0;
   int partition_node = -1;
 
-  /// Whether any perturbation is configured at all. A channel built
-  /// from an all-zero config is *reliable*: the engines use this to
-  /// keep the zero-fault comms path bit-identical to direct calls.
+  /// Whether any perturbation is configured at all. On an all-zero
+  /// config every message lands once, in its send epoch, so FleetSim
+  /// runs its direct path instead of the message channel.
   bool any() const {
     return drop_p > 0.0 || delay_p > 0.0 || duplicate_p > 0.0 ||
            reorder_p > 0.0 || (partition_start_epoch >= 0 &&

@@ -66,7 +66,10 @@ FleetResult FleetSim::run(int epochs) {
   // the t=0 split sees real budgets; afterwards a node's entry refreshes
   // only when it steps.
   for (std::size_t i = 0; i < n; ++i) reports_[i] = nodes_[i]->report();
-  if (config_.cluster.comms.enabled) {
+  // Messages cross the channel only on a network that can fault; a
+  // zero-fault network delivers every grant and report in its epoch,
+  // which is the direct path.
+  if (config_.cluster.comms.enabled && config_.cluster.comms.network.any()) {
     std::vector<double> idle(n);
     for (std::size_t i = 0; i < n; ++i) idle[i] = reports_[i].idle_w;
     fabric_ = std::make_unique<comms::CommsFabric>(
@@ -196,33 +199,17 @@ FleetResult FleetSim::run(int epochs) {
       }
     }
     if (fabric_) {
+      // Every node takes its effective cap every epoch, so a lapse can
+      // wake a sleeper; the TRUE cap sum is the safety claim.
       for (std::size_t i = 0; i < n; ++i) dead_nodes_[i] = reports_[i].dead();
       fabric_->send_grants(caps_, dead_nodes_, t);
       const std::vector<double>& eff = fabric_->effective_caps(t);
-      if (fabric_->reliable()) {
-        // Zero-fault channel: eff == caps_, so apply exactly where the
-        // direct path applies (every node on a full split, awake nodes
-        // otherwise) and keep the delta pool as the invariant sum --
-        // bit-identical to the direct path.
-        if (full_split) {
-          for (std::size_t i = 0; i < n; ++i) recap(i, eff[i], t);
-        } else {
-          for (std::size_t i = 0; i < n; ++i) {
-            if (!ctl_[i].sleeping) nodes_[i]->set_power_cap(eff[i]);
-          }
-        }
-        rollup.note_cap_sum(delta_->cap_sum(), t);
-      } else {
-        // Lossy channel: every node obeys its lease (or the autonomous
-        // fallback) every epoch; a lapse can wake a sleeper. The budget
-        // check runs over the TRUE caps: the safety claim.
-        double cap_sum = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          cap_sum += eff[i];
-          recap(i, eff[i], t);
-        }
-        rollup.note_cap_sum(cap_sum, t);
+      double cap_sum = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        cap_sum += eff[i];
+        recap(i, eff[i], t);
       }
+      rollup.note_cap_sum(cap_sum, t);
     } else {
       rollup.note_cap_sum(delta_->cap_sum(), t);
     }

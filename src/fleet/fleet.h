@@ -167,8 +167,9 @@ class FleetSim {
 
   FleetConfig config_;
   std::shared_ptr<telemetry::TelemetryContext> telemetry_;
-  /// Comms mode (config_.cluster.comms.enabled): grants and reports
-  /// cross the message channel. Null otherwise; built at run() start.
+  /// Comms mode (comms.enabled on a network that can fault): grants and
+  /// reports cross the message channel. Null otherwise, a zero-fault
+  /// network included; built at run() start.
   std::unique_ptr<comms::CommsFabric> fabric_;
   std::vector<bool> dead_nodes_;  ///< comms scratch: send_grants skip mask
   std::vector<double> caps_;      ///< comms mode: this epoch's desired caps

@@ -88,6 +88,11 @@ void CartTree::fit(const std::vector<FeatureRow>& x,
   if (x.empty() || x.size() != y.size()) {
     throw std::invalid_argument("CartTree::fit: bad shapes");
   }
+  for (const FeatureRow& row : x) {
+    if (row.size() != x[0].size()) {
+      throw std::invalid_argument("CartTree::fit: ragged rows");
+    }
+  }
   nodes_.clear();
   arity_ = x[0].size();
   params_ = params;

@@ -1,7 +1,8 @@
-// MessageChannel contract: reliable channels deliver same-epoch FIFO
-// exactly once; faulted links perturb deterministically per seed; the
-// accounting identity sent == delivered + dropped + in_flight holds
-// through any mix of faults (duplicates tracked separately).
+// MessageChannel contract: a zero-fault link delivers each message
+// exactly once, in its send epoch, in per-link FIFO order; faulted
+// links perturb deterministically per seed; the accounting identity
+// sent == delivered + dropped + in_flight holds through any mix of
+// faults (duplicates tracked separately).
 #include "comms/channel.h"
 
 #include <gtest/gtest.h>
@@ -29,12 +30,12 @@ Message grant_msg(std::uint64_t seq, double cap_w) {
 
 TEST(MessageChannel, ReliableDeliversSameEpochInFifoOrder) {
   MessageChannel ch(fault::NetworkFaultConfig{}, 1, 2);
-  ASSERT_TRUE(ch.reliable());
   ch.send_to_coord(0, report_msg(0, 1), 5);
   ch.send_to_coord(1, report_msg(1, 1), 5);
   ch.send_to_coord(0, report_msg(0, 2), 5);
 
-  // Nothing receivable before the send epoch.
+  // Nothing receivable before the send epoch. Each link keeps its send
+  // order; links interleave by position on their link.
   EXPECT_TRUE(ch.recv_coord(4).empty());
   const std::vector<Message> got = ch.recv_coord(5);
   ASSERT_EQ(got.size(), 3u);
@@ -78,7 +79,6 @@ TEST(MessageChannel, DropsAreCountedAndNeverDelivered) {
   fault::NetworkFaultConfig net;
   net.drop_p = 1.0;
   MessageChannel ch(net, 7, 1);
-  ASSERT_FALSE(ch.reliable());
   for (int t = 0; t < 10; ++t) ch.send_to_coord(0, report_msg(0, t + 1), t);
   EXPECT_TRUE(ch.recv_coord(100).empty());
   EXPECT_EQ(ch.stats().sent, 10u);

@@ -69,6 +69,13 @@ TEST(RandomForestClassifier, Errors) {
   RandomForestClassifier rf;
   EXPECT_THROW(rf.predict({1.0}), std::logic_error);
   EXPECT_THROW(rf.fit({}, {}), std::invalid_argument);
+  // Ragged rows reach CartTree::fit through the bootstrap samples: one
+  // row shorter, then one longer, than the rest.
+  EXPECT_THROW(rf.fit({{1.0, 2.0}, {3.0}, {4.0, 5.0}, {6.0, 7.0}},
+                      {0, 1, 0, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(rf.fit({{1.0}, {2.0, 3.0}, {4.0}, {5.0}}, {0, 1, 0, 1}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -121,6 +121,9 @@ TEST(DecisionTreeClassifier, Errors) {
   DecisionTreeClassifier dt;
   EXPECT_THROW(dt.fit({}, {}), std::invalid_argument);
   EXPECT_THROW(dt.fit({{1.0}}, {0, 1}), std::invalid_argument);
+  // Ragged rows: one shorter and one longer than the first.
+  EXPECT_THROW(dt.fit({{1.0, 2.0}, {3.0}}, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(dt.fit({{1.0}, {2.0, 3.0}}, {0, 1}), std::invalid_argument);
 }
 
 }  // namespace
