@@ -337,8 +337,10 @@ void ClusterNode::step(int t) {
     telemetry::Span span = tracer.start_span("enforce");
     const bool applied = retry_.apply(target);
     changes_counter_->inc();
-    span.attr("partition", target.to_string(server_.machine()))
-        .attr("applied", applied);
+    if (span.active()) {
+      span.attr("partition", target.to_string(server_.machine()))
+          .attr("applied", applied);
+    }
   }
   epoch.attr("p95_ms", observed.ls.p95_ms)
       .attr("power_w", observed.power_w)

@@ -1,7 +1,10 @@
 #include "cluster/rollup.h"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "exp/model_registry.h"
@@ -223,12 +226,19 @@ ClusterResult ClusterRollup::finalize(
 
   // Roll the per-node counters up into the cluster registry ("fleet."
   // prefix) so one snapshot answers fleet-wide questions; gauges and
-  // histograms stay node-local (summing them is not meaningful).
+  // histograms stay node-local (summing them is not meaningful). Sum per
+  // name first, so each fleet counter is looked up once.
+  std::map<std::string, std::uint64_t, std::less<>> sums;
   for (const NodeResult& nr : result.node_results) {
-    const auto snap = nr.telemetry->metrics().snapshot();
-    for (const auto& [name, value] : snap.counters) {
-      registry.counter("fleet." + name).add(value);
-    }
+    nr.telemetry->metrics().for_each_counter(
+        [&sums](std::string_view name, std::uint64_t value) {
+          auto it = sums.find(name);
+          if (it == sums.end()) it = sums.emplace(name, 0).first;
+          it->second += value;
+        });
+  }
+  for (const auto& [name, sum] : sums) {
+    registry.counter("fleet." + name).add(sum);
   }
   registry.gauge("cluster.fleet_qos_guarantee_rate")
       .set(result.fleet_qos_guarantee_rate);

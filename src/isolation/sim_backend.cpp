@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <set>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 namespace sturgeon::isolation {
 
@@ -56,18 +57,6 @@ Partition SimBackend::derived_partition() const {
 }
 
 void SimBackend::sync() {
-  // Disjointness is a hard error: Sturgeon never shares cores or ways.
-  std::set<int> seen;
-  for (const auto& cores : state_.cpusets) {
-    for (int c : cores) {
-      if (!seen.insert(c).second) {
-        throw std::invalid_argument("SimBackend: overlapping cpusets");
-      }
-    }
-  }
-  if ((state_.way_masks[0] & state_.way_masks[1]) != 0) {
-    throw std::invalid_argument("SimBackend: overlapping CAT masks");
-  }
   const Partition p = derived_partition();
   // Intermediate staging states (e.g. LS shrunk before BE grown) may be
   // transiently unappliable; push only once the state is valid. The
@@ -84,16 +73,34 @@ void SimBackend::sync() {
 void SimBackend::CpusetImpl::set_cpuset(AppId app,
                                         const std::vector<int>& cores) {
   const MachineSpec& m = owner_.server_.machine();
-  std::set<int> unique;
+  const auto i = static_cast<std::size_t>(app);
+  // Per-core scratch, per thread so that a fleet of nodes holds no copy
+  // per node: each write stamps the cores it names with a fresh stamp. A
+  // core that already carries it is a repeat, and a core of the other
+  // app's cpuset that carries it would be shared. Disjointness is a hard
+  // error: Sturgeon never shares cores or ways.
+  thread_local std::vector<std::uint64_t> marks;
+  thread_local std::uint64_t stamp = 0;
+  if (marks.size() < static_cast<std::size_t>(m.num_cores)) {
+    marks.resize(static_cast<std::size_t>(m.num_cores), 0);
+  }
+  ++stamp;
   for (int c : cores) {
     if (c < 0 || c >= m.num_cores) {
       throw std::invalid_argument("set_cpuset: core id out of range");
     }
-    if (!unique.insert(c).second) {
+    std::uint64_t& mark = marks[static_cast<std::size_t>(c)];
+    if (mark == stamp) {
       throw std::invalid_argument("set_cpuset: duplicate core id");
     }
+    mark = stamp;
   }
-  owner_.state_.cpusets[static_cast<std::size_t>(app)] = cores;
+  for (int c : owner_.state_.cpusets[1 - i]) {
+    if (marks[static_cast<std::size_t>(c)] == stamp) {
+      throw std::invalid_argument("SimBackend: overlapping cpusets");
+    }
+  }
+  owner_.state_.cpusets[i] = cores;
   owner_.sync();
 }
 
@@ -106,7 +113,11 @@ void SimBackend::CatImpl::set_way_mask(AppId app, std::uint32_t mask) {
   if (m.llc_ways < 32 && (mask >> m.llc_ways) != 0) {
     throw std::invalid_argument("set_way_mask: mask wider than LLC");
   }
-  owner_.state_.way_masks[static_cast<std::size_t>(app)] = mask;
+  const auto i = static_cast<std::size_t>(app);
+  if ((mask & owner_.state_.way_masks[1 - i]) != 0) {
+    throw std::invalid_argument("SimBackend: overlapping CAT masks");
+  }
+  owner_.state_.way_masks[i] = mask;
   owner_.sync();
 }
 
@@ -120,10 +131,14 @@ void SimBackend::FreqImpl::set_frequency_level(const std::vector<int>& cores,
   if (level < 0 || level >= m.num_freq_levels()) {
     throw std::invalid_argument("set_frequency_level: bad P-state");
   }
+  // Check every core before staging any, so a rejected write stages
+  // nothing.
   for (int c : cores) {
     if (c < 0 || c >= m.num_cores) {
       throw std::invalid_argument("set_frequency_level: core out of range");
     }
+  }
+  for (int c : cores) {
     owner_.state_.core_freq_levels[static_cast<std::size_t>(c)] = level;
   }
   owner_.sync();

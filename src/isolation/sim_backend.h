@@ -2,7 +2,11 @@
 // All four tools share a staging area (core lists, way masks, per-core
 // P-states) and push the derived <C1,F1,L1;C2,F2,L2> partition into the
 // SimulatedServer after every mutation, mirroring how each real tool
-// takes effect immediately and independently.
+// takes effect immediately and independently. Each write checks its
+// whole argument against the other app's staged state before it stages
+// anything, so a rejected write (std::invalid_argument) leaves the
+// backend and the server as they were, and the two apps never share a
+// core or a way. Warm writes allocate nothing.
 #pragma once
 
 #include <array>
@@ -36,13 +40,14 @@ class SimBackend {
     std::vector<int> core_freq_levels;  // per logical core
   };
 
-  /// Recompute the partition from staged state and apply it to the
-  /// simulator. Throws std::invalid_argument if apps overlap.
+  /// Recompute the partition from the staged state, which the writes
+  /// keep disjoint, and apply it to the simulator once it is appliable.
   void sync();
 
   class CpusetImpl : public CpusetController {
    public:
     explicit CpusetImpl(SimBackend& owner) : owner_(owner) {}
+    /// Also throws if `cores` shares a core with the other app's cpuset.
     void set_cpuset(AppId app, const std::vector<int>& cores) override;
     std::vector<int> cpuset(AppId app) const override;
 
@@ -53,6 +58,7 @@ class SimBackend {
   class CatImpl : public CatController {
    public:
     explicit CatImpl(SimBackend& owner) : owner_(owner) {}
+    /// Also throws if `mask` shares a way with the other app's mask.
     void set_way_mask(AppId app, std::uint32_t mask) override;
     std::uint32_t way_mask(AppId app) const override;
 
@@ -63,6 +69,7 @@ class SimBackend {
   class FreqImpl : public FreqDriver {
    public:
     explicit FreqImpl(SimBackend& owner) : owner_(owner) {}
+    /// Throws on a bad P-state or any core out of range.
     void set_frequency_level(const std::vector<int>& cores,
                              int level) override;
     int frequency_level(int core) const override;

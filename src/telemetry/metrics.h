@@ -143,6 +143,17 @@ class MetricsRegistry {
   /// Name-sorted snapshot of every instrument (export schema order).
   Snapshot snapshot() const STURGEON_EXCLUDES(mu_);
 
+  /// Call f(name, value) for every counter, in name order, under the
+  /// registry mutex; for roll-ups that read counters only. `f` must not
+  /// call back into this registry.
+  template <typename F>
+  void for_each_counter(F&& f) const STURGEON_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    for (const auto& [name, c] : counters_) {
+      f(std::string_view(name), c->value());
+    }
+  }
+
   /// Zero every instrument (new run); instruments stay registered.
   void reset() STURGEON_EXCLUDES(mu_);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -272,18 +273,35 @@ TEST(ClusterSim, FleetCountersRollUpIntoClusterRegistry) {
   ASSERT_NE(result.telemetry, nullptr);
 
   const auto snap = result.telemetry->metrics().snapshot();
-  std::uint64_t fleet_epochs = 0, cluster_epochs = 0;
-  bool found_fleet = false;
+  std::map<std::string, std::uint64_t> fleet;  // "fleet.X" keyed by X
+  std::uint64_t cluster_epochs = 0;
   for (const auto& [name, value] : snap.counters) {
-    if (name == "fleet.run.epochs") {
-      fleet_epochs = value;
-      found_fleet = true;
-    }
+    if (name.starts_with("fleet.")) fleet[name.substr(6)] = value;
     if (name == "cluster.epochs") cluster_epochs = value;
   }
-  EXPECT_TRUE(found_fleet);
-  EXPECT_EQ(fleet_epochs, static_cast<std::uint64_t>(kNodes * kEpochs));
+  EXPECT_EQ(fleet["run.epochs"], static_cast<std::uint64_t>(kNodes * kEpochs));
   EXPECT_EQ(cluster_epochs, static_cast<std::uint64_t>(kEpochs));
+
+  // Every node counter X rolls up into fleet.X, the sum over the nodes;
+  // the engine's own fleet.* counters have no node twin and read 0 here
+  // (no skipping, no churn).
+  std::map<std::string, std::uint64_t> sums;
+  for (const NodeResult& nr : result.node_results) {
+    for (const auto& [name, value] : nr.telemetry->metrics().snapshot()
+                                         .counters) {
+      sums[name] += value;
+    }
+  }
+  int nonzero = 0;
+  for (const auto& [name, sum] : sums) {
+    ASSERT_TRUE(fleet.contains(name)) << "no fleet." << name;
+    nonzero += sum != 0 ? 1 : 0;
+  }
+  EXPECT_GE(nonzero, 3);
+  for (const auto& [name, value] : fleet) {
+    const auto it = sums.find(name);
+    EXPECT_EQ(value, it == sums.end() ? 0u : it->second) << "fleet." << name;
+  }
 }
 
 TEST(ClusterSim, JsonlRollupHasOneLinePerNodePlusCluster) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 namespace sturgeon::isolation {
 namespace {
 
@@ -9,6 +14,46 @@ sim::SimulatedServer make_server() {
   sim::ServerConfig cfg;
   cfg.interference.enabled = false;
   return sim::SimulatedServer(find_ls("memcached"), find_be("bs"), 1, cfg);
+}
+
+/// Everything a tool write can change: both cpusets and way masks, every
+/// core's P-state and the partition the server runs.
+struct ToolState {
+  std::vector<int> ls_cores, be_cores;
+  std::uint32_t ls_mask = 0, be_mask = 0;
+  std::vector<int> levels;
+  Partition server;
+  bool operator==(const ToolState&) const = default;
+};
+
+ToolState tool_state(SimBackend& backend,
+                     const sim::SimulatedServer& server) {
+  ToolState s;
+  s.ls_cores = backend.cpuset().cpuset(AppId::kLs);
+  s.be_cores = backend.cpuset().cpuset(AppId::kBe);
+  s.ls_mask = backend.cat().way_mask(AppId::kLs);
+  s.be_mask = backend.cat().way_mask(AppId::kBe);
+  for (int c = 0; c < server.machine().num_cores; ++c) {
+    s.levels.push_back(backend.freq().frequency_level(c));
+  }
+  s.server = server.partition();
+  return s;
+}
+
+/// `write` must throw std::invalid_argument with exactly `message` and
+/// leave every tool and the server as they were.
+void expect_rejected(SimBackend& backend, const sim::SimulatedServer& server,
+                     const std::function<void()>& write,
+                     const std::string& message) {
+  const ToolState before = tool_state(backend, server);
+  try {
+    write();
+    ADD_FAILURE() << "write accepted; expected: " << message;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+  EXPECT_TRUE(tool_state(backend, server) == before)
+      << "rejected write changed the staged state: " << message;
 }
 
 TEST(SimBackend, InitialStateMirrorsServer) {
@@ -71,6 +116,81 @@ TEST(SimBackend, ValidationOfToolArguments) {
   EXPECT_THROW(backend.freq().set_frequency_level({-1}, 3),
                std::invalid_argument);
   EXPECT_THROW(backend.freq().frequency_level(99), std::invalid_argument);
+}
+
+TEST(SimBackend, RejectedCpusetWriteLeavesBackendUnchanged) {
+  auto server = make_server();
+  SimBackend backend(server);
+  backend.cpuset().set_cpuset(AppId::kLs, {0, 1, 2});
+  auto& cpuset = backend.cpuset();
+  expect_rejected(backend, server,
+                  [&] { cpuset.set_cpuset(AppId::kBe, {2, 3}); },
+                  "SimBackend: overlapping cpusets");
+  // Range and duplicate checks come before the overlap check.
+  expect_rejected(backend, server,
+                  [&] { cpuset.set_cpuset(AppId::kBe, {2, 20}); },
+                  "set_cpuset: core id out of range");
+  expect_rejected(backend, server,
+                  [&] { cpuset.set_cpuset(AppId::kBe, {2, 2}); },
+                  "set_cpuset: duplicate core id");
+  expect_rejected(backend, server,
+                  [&] { cpuset.set_cpuset(AppId::kLs, {0, 1, 1}); },
+                  "set_cpuset: duplicate core id");
+
+  // Every tool still takes valid writes.
+  backend.freq().set_frequency_level({0}, 3);
+  backend.cat().set_way_mask(AppId::kLs, 0b1111);
+  backend.cpuset().set_cpuset(AppId::kBe, {3, 4});
+  EXPECT_EQ(backend.cpuset().cpuset(AppId::kBe), (std::vector<int>{3, 4}));
+  EXPECT_EQ(backend.cat().way_mask(AppId::kLs), 0b1111u);
+  EXPECT_EQ(backend.freq().frequency_level(0), 3);
+  EXPECT_EQ(server.partition().ls.freq_level, 3);
+}
+
+TEST(SimBackend, RejectedWayMaskWriteLeavesBackendUnchanged) {
+  auto server = make_server();
+  SimBackend backend(server);
+  backend.cat().set_way_mask(AppId::kLs, 0b1111);
+  auto& cat = backend.cat();
+  expect_rejected(backend, server,
+                  [&] { cat.set_way_mask(AppId::kBe, 0x8); },
+                  "SimBackend: overlapping CAT masks");
+  expect_rejected(backend, server,
+                  [&] { cat.set_way_mask(AppId::kBe, 0xFFFFFFFFu); },
+                  "set_way_mask: mask wider than LLC");
+
+  backend.cpuset().set_cpuset(AppId::kLs, {0, 1, 2});
+  backend.cpuset().set_cpuset(AppId::kBe, {3, 4});
+  backend.cat().set_way_mask(AppId::kBe, 0b110000);
+  backend.freq().set_frequency_level({3, 4}, 5);
+  EXPECT_EQ(backend.cat().way_mask(AppId::kBe), 0b110000u);
+  const Partition p = server.partition();
+  EXPECT_EQ(p.be.cores, 2);
+  EXPECT_EQ(p.be.llc_ways, 2);
+  EXPECT_EQ(p.be.freq_level, 5);
+}
+
+TEST(SimBackend, RejectedFrequencyWriteLeavesBackendUnchanged) {
+  auto server = make_server();
+  SimBackend backend(server);
+  auto& freq = backend.freq();
+  expect_rejected(backend, server,
+                  [&] { freq.set_frequency_level({0, 99}, 3); },
+                  "set_frequency_level: core out of range");
+  expect_rejected(backend, server,
+                  [&] { freq.set_frequency_level({0, -1}, 3); },
+                  "set_frequency_level: core out of range");
+  // The P-state check comes first.
+  expect_rejected(backend, server,
+                  [&] { freq.set_frequency_level({99}, 42); },
+                  "set_frequency_level: bad P-state");
+  EXPECT_EQ(backend.derived_partition().ls.freq_level,
+            server.partition().ls.freq_level);
+
+  backend.freq().set_frequency_level({0, 1}, 3);
+  EXPECT_EQ(backend.freq().frequency_level(0), 3);
+  EXPECT_EQ(backend.derived_partition().ls.freq_level, 3);
+  EXPECT_EQ(server.partition().ls.freq_level, 3);
 }
 
 TEST(SimBackend, RaplReflectsObservedTelemetry) {
