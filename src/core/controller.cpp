@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <cstdio>
 #include <stdexcept>
 #include <string_view>
 
@@ -69,12 +69,18 @@ std::string SturgeonController::name() const {
 }
 
 std::string SturgeonController::describe() const {
-  std::ostringstream os;
-  os << name() << "(alpha=" << options_.alpha << ", beta=" << options_.beta
-     << ", qos_target_ms=" << qos_target_ms_
-     << ", power_budget_w=" << search_.power_budget_w() << ", balancer="
-     << (options_.enable_balancer ? "on" : "off") << ")";
-  return os.str();
+  // %g is what an std::ostream prints a double as by default (precision
+  // 6), without the cost of building a stream for every node's result.
+  char buf[256];
+  const int n = std::snprintf(
+      buf, sizeof(buf),
+      "%s(alpha=%g, beta=%g, qos_target_ms=%g, power_budget_w=%g, "
+      "balancer=%s)",
+      name().c_str(), options_.alpha, options_.beta, qos_target_ms_,
+      search_.power_budget_w(), options_.enable_balancer ? "on" : "off");
+  STURGEON_CHECK(n > 0 && static_cast<std::size_t>(n) < sizeof(buf),
+                 "describe: " << n << " characters");
+  return buf;
 }
 
 void SturgeonController::rebind_instruments() {

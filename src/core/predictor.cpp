@@ -1,6 +1,5 @@
 #include "core/predictor.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -42,29 +41,15 @@ Predictor::Predictor(const MachineSpec& machine, TrainedModels models)
   if (models_.ls_qos_table && models_.ls_qos_table->built_for(machine_)) {
     qos_table_ = models_.ls_qos_table.get();
   }
-  be_ = make_be_tables(models_);
-}
-
-Predictor::BeTables Predictor::make_be_tables(
-    const TrainedModels& models) const {
-  const auto answer = [](const ml::Regressor& model, const ml::FeatureRow& row,
-                         const char* what) {
-    return std::max(0.0, ValidateModelOutput(model.predict(row), what,
-                                             /*allow_negative=*/true));
-  };
-  BeTables tables{std::vector<double>(grid_.size(), 0.0),
-                  std::vector<double>(grid_.size(), 0.0)};
-  // Slices with at least one core are the grid's tail, after the
-  // cores == 0 block.
-  const std::size_t first = grid_.index(AppSlice{1, 0, 0});
-  for (std::size_t i = first; i < grid_.size(); ++i) {
-    const ml::FeatureRow row =
-        be_features(machine_, kNativeInputLevel, grid_.at(i));
-    tables.power[i] = answer(*models.be_power, row, "be_power");
-    tables.ipc[i] = answer(*models.be_ipc, row, "be_ipc");
+  if (models_.be_tables && models_.be_tables->built_for(machine_)) {
+    be_tables_ = models_.be_tables;
+  } else {
+    be_tables_ = std::make_shared<const BeTables>(*models_.be_ipc,
+                                                  *models_.be_power, machine_);
+    invocations_.add(be_tables_->model_calls());
   }
-  invocations_.add(2 * (grid_.size() - first));
-  return tables;
+  be_power_w_ = be_tables_->power_w().data();
+  be_ipc_ = be_tables_->ipc().data();
 }
 
 bool Predictor::ls_qos_ok(double qps_real, const AppSlice& slice,
@@ -93,12 +78,12 @@ double Predictor::ls_power_w(double qps_real, const AppSlice& slice,
 
 double Predictor::be_power_w(const AppSlice& slice) const {
   if (slice.cores == 0) return 0.0;
-  return be_.power[grid_.index(slice)];
+  return be_power_w_[grid_.index(slice)];
 }
 
 double Predictor::be_ipc(const AppSlice& slice) const {
   if (slice.cores == 0) return 0.0;
-  return be_.ipc[grid_.index(slice)];
+  return be_ipc_[grid_.index(slice)];
 }
 
 double Predictor::be_throughput(const AppSlice& slice) const {

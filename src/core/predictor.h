@@ -8,10 +8,11 @@
 // Model invocations are counted so the overhead experiments (paper
 // Section VII-E) can report predictions-per-search.
 //
-// The BE models see no load input, so the constructor asks each of them
-// one scalar predict() per slice of the machine, and be_power_w()/be_ipc()
-// become lock-free lookups in those immutable tables; lookups invoke no
-// model.
+// The BE models see no load input, so be_power_w()/be_ipc() are
+// lock-free lookups in immutable per-slice tables (core/qos_table.h):
+// the BE model set's own, which every predictor of the set shares, or,
+// when the models come without tables for this machine, a fill the
+// constructor runs itself. Lookups invoke no model.
 //
 // The LS QoS answer comes from the model set's certified table
 // (core/qos_table.h) where it proves one, and from one model call
@@ -22,7 +23,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "core/trainer.h"
 #include "telemetry/metrics.h"
@@ -71,27 +72,16 @@ class Predictor {
 
   /// Cumulative number of model invocations (overhead accounting).
   /// Thread-safe: nodes sharing the predictor query it concurrently.
-  /// Table lookups (BE and LS QoS) are not invocations; the BE table fill
-  /// at construction adds one per model and slice it filled. The LS QoS
-  /// table is built with the model set, before any predictor, and adds
+  /// Table lookups (BE and LS QoS) are not invocations. A BE table fill
+  /// the constructor runs itself adds one per model and slice it filled;
+  /// the model sets' tables are built before any predictor and add
   /// nothing.
   std::uint64_t model_invocations() const {
     return invocations_.value();
   }
 
  private:
-  struct BeTables {
-    std::vector<double> power;
-    std::vector<double> ipc;
-  };
-
   static TrainedModels validate_models(TrainedModels models);
-
-  /// One scalar predict() of each BE model of `models` per grid slice
-  /// with at least one core, validated and clamped at 0; cores == 0
-  /// entries stay 0.0 (an empty BE slice draws no power and retires
-  /// nothing).
-  BeTables make_be_tables(const TrainedModels& models) const;
 
   MachineSpec machine_;
   SliceGrid grid_;
@@ -102,7 +92,12 @@ class Predictor {
   /// model call, from whichever worker thread steps the node, while those
   /// threads read the members around it.
   mutable telemetry::Counter invocations_;
-  BeTables be_;
+  /// models_.be_tables when they were built for machine_, else a fill of
+  /// this predictor's own.
+  std::shared_ptr<const BeTables> be_tables_;
+  /// be_tables_'s answers, read without a pointer chase.
+  const double* be_power_w_ = nullptr;
+  const double* be_ipc_ = nullptr;
 };
 
 }  // namespace sturgeon::core

@@ -1,5 +1,6 @@
 #include "core/qos_table.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -7,6 +8,7 @@
 
 #include "core/features.h"
 #include "util/check.h"
+#include "util/invariants.h"
 #include "util/thread_pool.h"
 
 namespace sturgeon::core {
@@ -41,6 +43,12 @@ AppSlice SliceGrid::at(std::size_t index) const {
 namespace {
 
 using Segment = LsQosTable::Segment;
+
+/// Whether `a` and `b` give every slice the same model features.
+bool same_features(const MachineSpec& a, const MachineSpec& b) {
+  return a.num_cores == b.num_cores && a.llc_ways == b.llc_ways &&
+         a.freq_ghz == b.freq_ghz;
+}
 
 /// Cover [0, qps_max] of one slice by bisection, left to right: an
 /// interval whose box gets a proven label becomes a segment, one that
@@ -121,9 +129,34 @@ std::span<const LsQosTable::Segment> LsQosTable::segments(
 }
 
 bool LsQosTable::built_for(const MachineSpec& machine) const {
-  return machine.num_cores == machine_.num_cores &&
-         machine.llc_ways == machine_.llc_ways &&
-         machine.freq_ghz == machine_.freq_ghz;
+  return same_features(machine, machine_);
+}
+
+BeTables::BeTables(const ml::Regressor& ipc, const ml::Regressor& power,
+                   const MachineSpec& machine)
+    : machine_(machine) {
+  const SliceGrid grid(machine_);
+  const auto answer = [](const ml::Regressor& model, const ml::FeatureRow& row,
+                         const char* what) {
+    return std::max(0.0, ValidateModelOutput(model.predict(row), what,
+                                             /*allow_negative=*/true));
+  };
+  ipc_.assign(grid.size(), 0.0);
+  power_w_.assign(grid.size(), 0.0);
+  // Slices with at least one core are the grid's tail, after the
+  // cores == 0 block.
+  const std::size_t first = grid.index(AppSlice{1, 0, 0});
+  for (std::size_t i = first; i < grid.size(); ++i) {
+    const ml::FeatureRow row =
+        be_features(machine_, kNativeInputLevel, grid.at(i));
+    power_w_[i] = answer(power, row, "be_power");
+    ipc_[i] = answer(ipc, row, "be_ipc");
+  }
+  model_calls_ = 2 * (grid.size() - first);
+}
+
+bool BeTables::built_for(const MachineSpec& machine) const {
+  return same_features(machine, machine_);
 }
 
 }  // namespace sturgeon::core

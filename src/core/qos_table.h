@@ -1,5 +1,7 @@
-// Certified answers of an LS QoS classifier over the whole LS slice
-// space (paper Section V-B asks it O(N log N) questions per search).
+// Tables over a machine's slice grid that answer model queries without
+// running the model: the certified answers of an LS QoS classifier over
+// the whole LS slice space (paper Section V-B asks it O(N log N)
+// questions per search), and the BE models' answers per slice.
 //
 // The classifier's input is {kQPS, cores, GHz, ways}. Per (cores,
 // P-state, ways) slice only the QPS varies, so the table covers each
@@ -113,6 +115,35 @@ class LsQosTable {
   /// Slice i owns segments_[first_[i], first_[i + 1]).
   std::vector<std::uint32_t> first_;
   std::vector<Segment> segments_;
+};
+
+/// The BE models' answers over every slice of a machine. The BE models
+/// see no load input, so one scalar predict() of each model per slice
+/// with at least one core answers every BE query; each answer is
+/// validated and clamped at 0, and cores == 0 entries stay 0.0 (an
+/// empty BE slice draws no power and retires nothing). Immutable once
+/// built, and shared by every predictor of one BE model set.
+class BeTables {
+ public:
+  BeTables(const ml::Regressor& ipc, const ml::Regressor& power,
+           const MachineSpec& machine);
+
+  /// Answers indexed by SliceGrid::index() of the machine's grid.
+  const std::vector<double>& ipc() const { return ipc_; }
+  const std::vector<double>& power_w() const { return power_w_; }
+
+  /// The predict() calls the fill ran: one per model and slice with at
+  /// least one core.
+  std::uint64_t model_calls() const { return model_calls_; }
+
+  /// As LsQosTable::built_for().
+  bool built_for(const MachineSpec& machine) const;
+
+ private:
+  MachineSpec machine_;
+  std::vector<double> ipc_;
+  std::vector<double> power_w_;
+  std::uint64_t model_calls_ = 0;
 };
 
 }  // namespace sturgeon::core

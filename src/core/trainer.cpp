@@ -32,75 +32,94 @@ void check_config(const TrainerConfig& config) {
 
 }  // namespace
 
-LsProfilingData collect_ls_profiling(const LsProfile& ls,
-                                     const TrainerConfig& config) {
-  check_config(config);
-  const MachineSpec machine = config.server.machine;
-  // Any BE profile serves for LS-solo runs (the BE slice stays empty).
-  const BeProfile& dummy_be = be_catalog().front();
-  LsProfilingData data;
-  Rng rng(config.seed ^ stable_hash(ls.name));
-
-  const auto probe = [&](double load, const AppSlice& slice) {
-    sim::SimulatedServer server(ls, dummy_be, rng.next_u64(),
-                                quiet(config.server));
-    Partition p;
-    p.ls = slice;
-    p.be = AppSlice{0, 0, 0};
-    server.set_partition(p);
-    bool qos_ok = true;
-    double peak_power = 0.0;
-    for (int i = 0; i < config.intervals_per_sample; ++i) {
-      const auto t = server.step(load);
-      qos_ok = qos_ok &&
-               t.ls.p95_ms <= config.qos_label_margin * ls.qos_target_ms;
-      peak_power = std::max(peak_power, t.power_w);
-    }
-    data.x.push_back(ls_features(machine, load * ls.peak_qps, slice));
-    data.qos_ok.push_back(qos_ok ? 1 : 0);
-    data.power_w.push_back(peak_power);
-    return qos_ok;
-  };
-
+LsCampaign::LsCampaign(const LsProfile& ls, const TrainerConfig& config)
+    : ls_(ls), config_(config), chain_rng_(config.seed ^ stable_hash(ls.name)) {
+  check_config(config_);
+  const MachineSpec& machine = config_.server.machine;
+  Rng& rng = chain_rng_;
   // Uniform sweep over the configuration space.
-  for (int s = 0; s < config.ls_samples; ++s) {
-    AppSlice slice;
-    slice.cores = rng.uniform_int(1, machine.num_cores);
-    slice.freq_level = rng.uniform_int(0, machine.max_freq_level());
-    slice.llc_ways = rng.uniform_int(1, machine.llc_ways);
-    probe(rng.uniform(0.05, 1.0), slice);
+  sweep_.resize(static_cast<std::size_t>(config_.ls_samples));
+  for (Probe& p : sweep_) {
+    p.slice.cores = rng.uniform_int(1, machine.num_cores);
+    p.slice.freq_level = rng.uniform_int(0, machine.max_freq_level());
+    p.slice.llc_ways = rng.uniform_int(1, machine.llc_ways);
+    p.load = rng.uniform(0.05, 1.0);
+    p.seed = rng.next_u64();
   }
+  sweep_rows_.x.resize(sweep_.size());
+  sweep_rows_.qos_ok.resize(sweep_.size());
+  sweep_rows_.power_w.resize(sweep_.size());
+}
 
+bool LsCampaign::probe(const Probe& p, LsProfilingData& out,
+                       std::size_t row) {
+  // Any BE profile serves for LS-solo runs (the BE slice stays empty).
+  sim::SimulatedServer server(ls_, be_catalog().front(), p.seed,
+                              quiet(config_.server));
+  Partition part;
+  part.ls = p.slice;
+  part.be = AppSlice{0, 0, 0};
+  server.set_partition(part);
+  bool qos_ok = true;
+  double peak_power = 0.0;
+  for (int i = 0; i < config_.intervals_per_sample; ++i) {
+    const auto t = server.step(p.load);
+    qos_ok = qos_ok &&
+             t.ls.p95_ms <= config_.qos_label_margin * ls_.qos_target_ms;
+    peak_power = std::max(peak_power, t.power_w);
+  }
+  out.x[row] = ls_features(config_.server.machine, p.load * ls_.peak_qps,
+                           p.slice);
+  out.qos_ok[row] = qos_ok ? 1 : 0;
+  out.power_w[row] = peak_power;
+  return qos_ok;
+}
+
+void LsCampaign::run_sweep_probe(std::size_t i) {
+  probe(sweep_.at(i), sweep_rows_, i);
+}
+
+void LsCampaign::run_boundary_searches() {
   // Boundary-focused campaigns: binary-search the measured minimum
   // feasible core count at random (load, frequency, ways), then the
   // minimum feasible way count near that core count. Every probe run
   // becomes a labeled sample, concentrating data on the feasibility edge
   // that the controller's own binary searches will walk.
-  for (int s = 0; s < config.ls_boundary_searches; ++s) {
-    const double load = rng.uniform(0.05, 1.0);
-    AppSlice slice;
-    slice.freq_level = rng.uniform_int(0, machine.max_freq_level());
-    slice.llc_ways = rng.uniform_int(1, machine.llc_ways);
+  const MachineSpec& machine = config_.server.machine;
+  Rng& rng = chain_rng_;
+  LsProfilingData& out = chain_rows_;
+  Probe p;
+  const auto run = [&] {
+    p.seed = rng.next_u64();
+    out.x.emplace_back();
+    out.qos_ok.push_back(0);
+    out.power_w.push_back(0.0);
+    return probe(p, out, out.x.size() - 1);
+  };
+  for (int s = 0; s < config_.ls_boundary_searches; ++s) {
+    p.load = rng.uniform(0.05, 1.0);
+    p.slice.freq_level = rng.uniform_int(0, machine.max_freq_level());
+    p.slice.llc_ways = rng.uniform_int(1, machine.llc_ways);
     int lo = 1, hi = machine.num_cores;
-    slice.cores = hi;
-    if (!probe(load, slice)) continue;  // infeasible even with all cores
+    p.slice.cores = hi;
+    if (!run()) continue;  // infeasible even with all cores
     while (lo < hi) {
       const int mid = lo + (hi - lo) / 2;
-      slice.cores = mid;
-      if (probe(load, slice)) {
+      p.slice.cores = mid;
+      if (run()) {
         hi = mid;
       } else {
         lo = mid + 1;
       }
     }
-    slice.cores = std::min(machine.num_cores, hi + rng.uniform_int(0, 2));
-    slice.llc_ways = machine.llc_ways;
-    if (probe(load, slice)) {
+    p.slice.cores = std::min(machine.num_cores, hi + rng.uniform_int(0, 2));
+    p.slice.llc_ways = machine.llc_ways;
+    if (run()) {
       int wlo = 1, whi = machine.llc_ways;
       while (wlo < whi) {
         const int mid = wlo + (whi - wlo) / 2;
-        slice.llc_ways = mid;
-        if (probe(load, slice)) {
+        p.slice.llc_ways = mid;
+        if (run()) {
           whi = mid;
         } else {
           wlo = mid + 1;
@@ -108,7 +127,28 @@ LsProfilingData collect_ls_profiling(const LsProfile& ls,
       }
     }
   }
+}
+
+LsProfilingData LsCampaign::take_data() {
+  LsProfilingData data = std::move(sweep_rows_);
+  const auto append = [](auto& to, auto& from) {
+    to.insert(to.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+  };
+  append(data.x, chain_rows_.x);
+  append(data.qos_ok, chain_rows_.qos_ok);
+  append(data.power_w, chain_rows_.power_w);
   return data;
+}
+
+LsProfilingData collect_ls_profiling(const LsProfile& ls,
+                                     const TrainerConfig& config) {
+  LsCampaign campaign(ls, config);
+  for (std::size_t i = 0; i < campaign.sweep_size(); ++i) {
+    campaign.run_sweep_probe(i);
+  }
+  campaign.run_boundary_searches();
+  return campaign.take_data();
 }
 
 BeProfilingData collect_be_profiling(const BeProfile& be,
@@ -258,25 +298,50 @@ std::shared_ptr<const ml::Classifier> select_classifier(
 
 }  // namespace
 
-LsModels fit_ls_models(const LsProfilingData& data,
-                       const TrainerConfig& config) {
-  LsModels models;
-  models.qos =
-      select_classifier(data.x, data.qos_ok, config, 0xa1,
-                        models.qos_accuracy);
-  models.power =
-      select_regressor(data.x, data.power_w, config, 0xa2, models.power_r2);
+void fit_ls_qos(const LsProfilingData& data, const TrainerConfig& config,
+                LsModels& models) {
+  models.qos = select_classifier(data.x, data.qos_ok, config, 0xa1,
+                                 models.qos_accuracy);
   for (const ml::FeatureRow& row : data.x) {
     models.profiled_peak_qps =
         std::max(models.profiled_peak_qps, row[0] * 1000.0);  // kQPS
   }
-  return models;
+}
+
+void fit_ls_power(const LsProfilingData& data, const TrainerConfig& config,
+                  LsModels& models) {
+  models.power =
+      select_regressor(data.x, data.power_w, config, 0xa2, models.power_r2);
+}
+
+void fit_be_ipc(const BeProfilingData& data, const TrainerConfig& config,
+                BeModels& models) {
+  models.ipc = select_regressor(data.x, data.ipc, config, 0xa3,
+                                models.ipc_r2);
+}
+
+void fit_be_power(const BeProfilingData& data, const TrainerConfig& config,
+                  BeModels& models) {
+  models.power =
+      select_regressor(data.x, data.power_w, config, 0xa4, models.power_r2);
+  models.idle_power_w = data.idle_power_w;
 }
 
 LsModels train_ls_models(const LsProfilingData& data,
                          const TrainerConfig& config) {
-  LsModels models = fit_ls_models(data, config);
+  LsModels models;
+  fit_ls_qos(data, config, models);
+  fit_ls_power(data, config, models);
   add_qos_table(models, config.server.machine);
+  return models;
+}
+
+BeModels train_be_models(const BeProfilingData& data,
+                         const TrainerConfig& config) {
+  BeModels models;
+  fit_be_ipc(data, config, models);
+  fit_be_power(data, config, models);
+  add_be_tables(models, config.server.machine);
   return models;
 }
 
@@ -287,15 +352,10 @@ void add_qos_table(LsModels& models, const MachineSpec& machine,
       *models.qos, machine, kQosTableRange * models.profiled_peak_qps, pool);
 }
 
-BeModels train_be_models(const BeProfilingData& data,
-                         const TrainerConfig& config) {
-  BeModels models;
-  models.idle_power_w = data.idle_power_w;
-  models.ipc = select_regressor(data.x, data.ipc, config, 0xa3,
-                                models.ipc_r2);
-  models.power =
-      select_regressor(data.x, data.power_w, config, 0xa4, models.power_r2);
-  return models;
+void add_be_tables(BeModels& models, const MachineSpec& machine) {
+  if (models.tables) return;
+  models.tables =
+      std::make_shared<const BeTables>(*models.ipc, *models.power, machine);
 }
 
 TrainedModels assemble_models(const LsModels& ls, const BeModels& be) {
@@ -305,6 +365,7 @@ TrainedModels assemble_models(const LsModels& ls, const BeModels& be) {
   m.ls_power = ls.power;
   m.be_ipc = be.ipc;
   m.be_power = be.power;
+  m.be_tables = be.tables;
   m.idle_power_w = be.idle_power_w;
   return m;
 }

@@ -19,12 +19,15 @@
 // models are shared across all co-location pairs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/qos_table.h"
 #include "ml/factory.h"
 #include "sim/server.h"
+#include "util/rng.h"
 #include "workloads/app_profile.h"
 
 namespace sturgeon::core {
@@ -66,9 +69,53 @@ struct BeProfilingData {
 
 /// Profile an LS service across randomized solo configurations
 /// (interference disabled: a quiet profiling cluster, as the paper
-/// assumes).
+/// assumes): an LsCampaign's pieces, run in order on this thread.
 LsProfilingData collect_ls_profiling(const LsProfile& ls,
                                      const TrainerConfig& config);
+
+/// One LS profiling campaign split into pieces that may run on different
+/// threads: each uniform-sweep probe, and the boundary-search chain,
+/// whose probes each depend on the one before. The constructor draws
+/// every sweep probe's slice, load and seed in the campaign RNG's order
+/// (cores, frequency, ways, load, seed), so the chain starts from the
+/// RNG state after the sweep's draws, as in one pass. Each piece writes
+/// only its own rows, so the pieces may run concurrently and in any
+/// order; take_data() then returns exactly collect_ls_profiling()'s data.
+class LsCampaign {
+ public:
+  /// `ls` must outlive the campaign.
+  LsCampaign(const LsProfile& ls, const TrainerConfig& config);
+
+  std::size_t sweep_size() const { return sweep_.size(); }
+
+  /// Run uniform-sweep probe `i` (< sweep_size()) into its row.
+  void run_sweep_probe(std::size_t i);
+
+  /// Run the boundary-search chain.
+  void run_boundary_searches();
+
+  /// The sweep's rows in sweep order, then the chain's. Call once, after
+  /// every piece has run.
+  LsProfilingData take_data();
+
+ private:
+  struct Probe {
+    AppSlice slice;
+    double load = 0.0;
+    std::uint64_t seed = 0;
+  };
+
+  /// Run one probe and write its row at `row` of `out`; returns the
+  /// QoS label.
+  bool probe(const Probe& p, LsProfilingData& out, std::size_t row);
+
+  const LsProfile& ls_;
+  TrainerConfig config_;
+  std::vector<Probe> sweep_;
+  Rng chain_rng_;  ///< the campaign RNG after the sweep's draws
+  LsProfilingData sweep_rows_;
+  LsProfilingData chain_rows_;
+};
 
 /// Profile a BE application across randomized solo configurations.
 BeProfilingData collect_be_profiling(const BeProfile& be,
@@ -94,23 +141,37 @@ struct LsModels {
 struct BeModels {
   std::shared_ptr<const ml::Regressor> ipc;
   std::shared_ptr<const ml::Regressor> power;
+  /// `ipc` and `power` over every slice of the profiling machine
+  /// (add_be_tables); null while unbuilt.
+  std::shared_ptr<const BeTables> tables;
   double idle_power_w = 0.0;
   FamilyScores ipc_r2;    ///< Fig 6 (BE performance)
   FamilyScores power_r2;  ///< Fig 7
 };
 
 /// Train every paper model family per role, score on a hold-out set, and
-/// deploy the best ("the most suitable one", Section V-C). The LS set
-/// also gets its QoS table (add_qos_table), built on this thread.
+/// deploy the best ("the most suitable one", Section V-C): the role fits
+/// below in order, on this thread. The LS set also gets its QoS table
+/// (add_qos_table) and the BE set its tables (add_be_tables).
 LsModels train_ls_models(const LsProfilingData& data,
                          const TrainerConfig& config);
 BeModels train_be_models(const BeProfilingData& data,
                          const TrainerConfig& config);
 
-/// train_ls_models() without the QoS table, for a caller that builds it
-/// on a pool afterwards (exp::warm_models).
-LsModels fit_ls_models(const LsProfilingData& data,
-                       const TrainerConfig& config);
+/// One role fit each (paper Fig 5): score every family of the role on
+/// a hold-out split and deploy the best, refit on every row. A fit reads
+/// `data` and writes only its own members of `models`, so the roles of
+/// one set may be fitted concurrently (exp::warm_models does). The QoS
+/// fit also records the profiled peak QPS, which bounds its table, and
+/// the BE power fit the idle power its labels are measured against.
+void fit_ls_qos(const LsProfilingData& data, const TrainerConfig& config,
+                LsModels& models);
+void fit_ls_power(const LsProfilingData& data, const TrainerConfig& config,
+                  LsModels& models);
+void fit_be_ipc(const BeProfilingData& data, const TrainerConfig& config,
+                BeModels& models);
+void fit_be_power(const BeProfilingData& data, const TrainerConfig& config,
+                  BeModels& models);
 
 /// The QoS table covers QPS [0, kQosTableRange x profiled peak].
 inline constexpr double kQosTableRange = 1.1;
@@ -122,6 +183,10 @@ inline constexpr double kQosTableRange = 1.1;
 void add_qos_table(LsModels& models, const MachineSpec& machine,
                    ThreadPool* pool = nullptr);
 
+/// Build `models.tables` for `machine` (the profiling machine) from both
+/// fitted models; a no-op when they exist.
+void add_be_tables(BeModels& models, const MachineSpec& machine);
+
 /// The model bundle backing one co-location pair's Predictor.
 struct TrainedModels {
   std::shared_ptr<const ml::Classifier> ls_qos;
@@ -130,6 +195,9 @@ struct TrainedModels {
   std::shared_ptr<const ml::Regressor> ls_power;
   std::shared_ptr<const ml::Regressor> be_ipc;
   std::shared_ptr<const ml::Regressor> be_power;
+  /// be_ipc and be_power over a machine's slices (BeModels::tables); may
+  /// be null, and then the Predictor fills its own.
+  std::shared_ptr<const BeTables> be_tables;
   double idle_power_w = 0.0;
 };
 

@@ -1,5 +1,8 @@
 #include "exp/model_registry.h"
 
+#include <atomic>
+#include <deque>
+#include <functional>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -11,19 +14,76 @@ namespace sturgeon::exp {
 
 namespace {
 
-// Per-key train-once slot. The registry mutex only guards the maps; the
-// expensive profiling campaign runs under the slot's own latch, so
-// concurrent callers for the SAME service serialize on the slot (one
-// trains, the rest wait and reuse) while DIFFERENT services train in
-// parallel. Lock order is always latch -> g_mu (slot_for releases g_mu
-// before any latch is taken, predictor assembly holds its latch while
-// slot_for re-takes g_mu), never the reverse.
+// Per-key train-once slot. The registry mutex only guards the maps, and
+// no lock is held while a value trains: the caller that claims a free
+// slot trains its value (one thread lazily, or warm_models' schedule
+// across its pool) and then publishes it, and a caller that finds the
+// slot claimed waits on `done` until it is ready. A claimer whose
+// training throws frees the slot, so the next caller trains it afresh.
 template <typename T>
 struct Slot {
-  Mutex latch;
-  bool ready STURGEON_GUARDED_BY(latch) = false;
-  T value STURGEON_GUARDED_BY(latch);
+  enum class State { kFree, kClaimed, kReady };
+
+  Mutex mu;
+  CondVar done;
+  State state STURGEON_GUARDED_BY(mu) = State::kFree;
+  /// Written only by the claimer, read only once the slot is ready.
+  T value;
 };
+
+/// A claim on a slot. publish() marks the value ready; a claim dropped
+/// unpublished (its training threw) frees the slot. Either way waiters
+/// wake.
+template <typename T>
+class Claim {
+ public:
+  explicit Claim(std::shared_ptr<Slot<T>> slot) : slot_(std::move(slot)) {}
+  Claim(Claim&&) noexcept = default;
+  Claim& operator=(Claim&&) = delete;
+  ~Claim() { release(Slot<T>::State::kFree); }
+
+  T& value() { return slot_->value; }
+
+  void publish() { release(Slot<T>::State::kReady); }
+
+ private:
+  void release(typename Slot<T>::State to) {
+    if (!slot_) return;
+    {
+      MutexLock lock(slot_->mu);
+      slot_->state = to;
+    }
+    slot_->done.notify_all();
+    slot_.reset();
+  }
+
+  std::shared_ptr<Slot<T>> slot_;
+};
+
+/// Claim `slot` when it is free. A claimed slot makes this wait for its
+/// claimer when `wait`, else return at once. Returns whether this caller
+/// now holds the claim.
+template <typename T>
+bool try_claim(Slot<T>& slot, bool wait) {
+  using State = typename Slot<T>::State;
+  MutexLock lock(slot.mu);
+  while (wait && slot.state == State::kClaimed) slot.done.wait(slot.mu);
+  if (slot.state != State::kFree) return false;
+  slot.state = State::kClaimed;
+  return true;
+}
+
+/// The slot's value: trained here by `train` when the slot is free,
+/// else the claimer's, waited for.
+template <typename T, typename Train>
+const T& resolve(const std::shared_ptr<Slot<T>>& slot, Train&& train) {
+  if (try_claim(*slot, /*wait=*/true)) {
+    Claim<T> claim(slot);
+    claim.value() = train();
+    claim.publish();
+  }
+  return slot->value;
+}
 
 Mutex g_mu;
 std::map<std::string, std::shared_ptr<Slot<core::LsModels>>> g_ls_models
@@ -58,46 +118,60 @@ auto slot_for(Map& map, const Key& key, std::uint64_t seed)
   return slot;
 }
 
-/// The LS set's slot with its models fitted; its QoS table may be
-/// pending. Takes the slot's latch, as ls_models_for() does.
-std::shared_ptr<Slot<core::LsModels>> fitted_ls_slot(
-    const LsProfile& ls, const core::TrainerConfig& config) {
-  auto slot = slot_for(g_ls_models, ls.name, config.seed);
-  MutexLock latch(slot->latch);
-  if (!slot->ready) {
-    slot->value =
-        core::fit_ls_models(core::collect_ls_profiling(ls, config), config);
-    slot->ready = true;
+/// Run every item. On a pool of more than one worker, each worker
+/// claims the next unclaimed item until none is left, so items start in
+/// the order given and a long item never queues behind a block of
+/// others (ThreadPool::parallel_for hands out contiguous blocks). Must
+/// not run on a worker of `pool`.
+void run_claimed(ThreadPool* pool,
+                 const std::vector<std::function<void()>>& items) {
+  const std::size_t workers = pool != nullptr ? pool->size() : 0;
+  if (workers <= 1 || items.size() <= 1) {
+    for (const auto& item : items) item();
+    return;
   }
-  return slot;
+  std::atomic<std::size_t> next{0};
+  pool->parallel_for(workers, [&](std::size_t) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < items.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+      items[i]();
+    }
+  });
 }
 
-/// Complete the slot's QoS table on `pool` (nullptr = this thread).
-const core::LsModels& finish_ls_slot(Slot<core::LsModels>& slot,
-                                     const core::TrainerConfig& config,
-                                     ThreadPool* pool) {
-  MutexLock latch(slot.latch);
-  core::add_qos_table(slot.value, config.server.machine, pool);
-  return slot.value;
-}
+/// One LS service warm_models trains: its claim, campaign and data.
+struct LsJob {
+  LsJob(Claim<core::LsModels> c, const LsProfile& ls,
+        const core::TrainerConfig& config)
+      : claim(std::move(c)), campaign(ls, config) {}
+
+  Claim<core::LsModels> claim;
+  core::LsCampaign campaign;
+  core::LsProfilingData data;
+};
+
+struct BeJob {
+  Claim<core::BeModels> claim;
+  const BeProfile* be;
+  core::BeProfilingData data;
+};
 
 }  // namespace
 
 const core::LsModels& ls_models_for(const LsProfile& ls,
                                     const core::TrainerConfig& config) {
-  return finish_ls_slot(*fitted_ls_slot(ls, config), config, nullptr);
+  return resolve(slot_for(g_ls_models, ls.name, config.seed), [&] {
+    return core::train_ls_models(core::collect_ls_profiling(ls, config),
+                                 config);
+  });
 }
 
 const core::BeModels& be_models_for(const BeProfile& be,
                                     const core::TrainerConfig& config) {
-  const auto slot = slot_for(g_be_models, be.name, config.seed);
-  MutexLock latch(slot->latch);
-  if (!slot->ready) {
-    slot->value =
-        core::train_be_models(core::collect_be_profiling(be, config), config);
-    slot->ready = true;
-  }
-  return slot->value;
+  return resolve(slot_for(g_be_models, be.name, config.seed), [&] {
+    return core::train_be_models(core::collect_be_profiling(be, config),
+                                 config);
+  });
 }
 
 std::shared_ptr<const core::Predictor> predictor_for(
@@ -105,54 +179,95 @@ std::shared_ptr<const core::Predictor> predictor_for(
     const core::TrainerConfig& config) {
   const auto slot = slot_for(
       g_predictors, std::make_pair(ls.name, be.name), config.seed);
-  MutexLock latch(slot->latch);
-  if (!slot->ready) {
-    const auto& ls_models = ls_models_for(ls, config);
-    const auto& be_models = be_models_for(be, config);
-    slot->value = std::make_shared<const core::Predictor>(
-        config.server.machine, core::assemble_models(ls_models, be_models));
-    slot->ready = true;
-  }
-  return slot->value;
+  return resolve(slot, [&] {
+    return std::make_shared<const core::Predictor>(
+        config.server.machine,
+        core::assemble_models(ls_models_for(ls, config),
+                              be_models_for(be, config)));
+  });
 }
 
 void warm_models(
     const std::vector<std::pair<const LsProfile*, const BeProfile*>>& pairs,
     ThreadPool* pool, const core::TrainerConfig& config) {
-  // Profile each *service* once, concurrently where a pool is given, then
-  // build each LS set's QoS table with its slices split across the pool;
-  // the cheap per-pair predictor assembly then runs sequentially.
-  std::vector<const LsProfile*> ls_todo;
-  std::vector<const BeProfile*> be_todo;
+  // Claim every distinct service no caller has trained or is training.
+  // A service claimed elsewhere is waited for by the predictor phase.
+  std::deque<LsJob> ls_jobs;  // a deque: items hold references into it
+  std::deque<BeJob> be_jobs;
   std::set<std::string> seen_ls, seen_be;
   for (const auto& [ls, be] : pairs) {
     if (ls == nullptr || be == nullptr) {
       throw std::invalid_argument("warm_models: null profile");
     }
-    if (seen_ls.insert(ls->name).second) ls_todo.push_back(ls);
-    if (seen_be.insert(be->name).second) be_todo.push_back(be);
+    if (seen_ls.insert(ls->name).second) {
+      auto slot = slot_for(g_ls_models, ls->name, config.seed);
+      if (try_claim(*slot, /*wait=*/false)) {
+        ls_jobs.emplace_back(Claim(std::move(slot)), *ls, config);
+      }
+    }
+    if (seen_be.insert(be->name).second) {
+      auto slot = slot_for(g_be_models, be->name, config.seed);
+      if (try_claim(*slot, /*wait=*/false)) {
+        be_jobs.push_back({Claim(std::move(slot)), be, {}});
+      }
+    }
   }
 
-  const std::size_t n = ls_todo.size() + be_todo.size();
-  const bool parallel = pool != nullptr && pool->size() > 1;
-  const auto train_one = [&](std::size_t i) {
-    if (i < ls_todo.size()) {
-      fitted_ls_slot(*ls_todo[i], config);
-    } else {
-      be_models_for(*be_todo[i - ls_todo.size()], config);
+  // The lazy path's pieces, one phase at a time, each phase's items
+  // queued longest first.
+  std::vector<std::function<void()>> items;
+  // Profiling: each LS service's boundary-search chain (about ten probes
+  // a search), then each BE set's profiling, then every sweep probe.
+  for (LsJob& j : ls_jobs) {
+    items.push_back([&j] { j.campaign.run_boundary_searches(); });
+  }
+  for (BeJob& j : be_jobs) {
+    items.push_back(
+        [&j, &config] { j.data = core::collect_be_profiling(*j.be, config); });
+  }
+  for (LsJob& j : ls_jobs) {
+    for (std::size_t i = 0; i < j.campaign.sweep_size(); ++i) {
+      items.push_back([&j, i] { j.campaign.run_sweep_probe(i); });
     }
-  };
-  if (parallel && n > 1) {
-    pool->parallel_for(n, train_one);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) train_one(i);
   }
-  // The tables are a phase of their own, on this thread: a pool task that
-  // called parallel_for on its own pool would throw (it could deadlock).
-  for (const LsProfile* ls : ls_todo) {
-    finish_ls_slot(*fitted_ls_slot(*ls, config), config,
-                   parallel ? pool : nullptr);
+  run_claimed(pool, items);
+  for (LsJob& j : ls_jobs) j.data = j.campaign.take_data();
+
+  // Role fits: the LS sets' (more rows) before the BE sets'.
+  items.clear();
+  for (LsJob& j : ls_jobs) {
+    items.push_back(
+        [&j, &config] { core::fit_ls_qos(j.data, config, j.claim.value()); });
+    items.push_back([&j, &config] {
+      core::fit_ls_power(j.data, config, j.claim.value());
+    });
   }
+  for (BeJob& j : be_jobs) {
+    items.push_back(
+        [&j, &config] { core::fit_be_ipc(j.data, config, j.claim.value()); });
+    items.push_back([&j, &config] {
+      core::fit_be_power(j.data, config, j.claim.value());
+    });
+  }
+  run_claimed(pool, items);
+
+  // Tables: each BE set's as one item; each LS set's QoS table with its
+  // slices split across the pool, from this thread.
+  const MachineSpec& machine = config.server.machine;
+  items.clear();
+  for (BeJob& j : be_jobs) {
+    items.push_back(
+        [&j, &machine] { core::add_be_tables(j.claim.value(), machine); });
+  }
+  run_claimed(pool, items);
+  const bool split = pool != nullptr && pool->size() > 1;
+  for (LsJob& j : ls_jobs) {
+    core::add_qos_table(j.claim.value(), machine, split ? pool : nullptr);
+  }
+  for (LsJob& j : ls_jobs) j.claim.publish();
+  for (BeJob& j : be_jobs) j.claim.publish();
+
+  // Predictors: cheap assembly over the shared models and tables.
   for (const auto& [ls, be] : pairs) predictor_for(*ls, *be, config);
 }
 

@@ -5,13 +5,15 @@
 // application is profiled once per process and shared by every pair.
 //
 // Sharing contract (the cluster layer leans on this): lookups are
-// thread-safe and train-once -- concurrent callers asking for the same
-// service block on a per-key latch while exactly one of them trains, so
-// N nodes resolving the same predictor never retrain N times (the old
-// registry raced: two simultaneous misses both ran the full profiling
-// campaign and one result was thrown away). Distinct services still
-// train concurrently. The returned Predictor is immutable and safe to
-// share across threads/nodes for the registry's lifetime.
+// thread-safe and train-once. Each service's slot is free, claimed or
+// ready. The caller that claims a free slot trains it and publishes the
+// result; every other caller for that service, including a lazy caller
+// while warm_models() is training it, waits for the result and never
+// trains a second copy. Distinct services still train concurrently. An
+// LS set comes with its QoS table and a BE set with its BE tables, and
+// every predictor of the service shares them. The returned Predictor is
+// immutable and safe to share across threads/nodes for the registry's
+// lifetime.
 #pragma once
 
 #include <memory>
@@ -41,13 +43,22 @@ const core::LsModels& ls_models_for(const LsProfile& ls,
 const core::BeModels& be_models_for(const BeProfile& be,
                                     const core::TrainerConfig& config = {});
 
-/// Pre-train every model a set of co-location pairs needs, profiling
-/// distinct services concurrently on `pool` (nullptr = sequential), then
-/// build each LS set's QoS table (core/qos_table.h) with its slices split
-/// across `pool`. Must not run on a worker of `pool`. Afterwards
-/// predictor_for() for any listed pair is a pure cache hit -- the cluster
-/// runner warms its fleet's models once here instead of paying a training
-/// campaign inside the first epoch of every node.
+/// Pre-train every model a set of co-location pairs needs, on `pool`
+/// (nullptr or one worker = on this thread). It claims each listed
+/// service that no caller has trained or is training, then runs the lazy
+/// path's pieces as one schedule of phases: profiling (each LS service's
+/// boundary-search chain, each uniform-sweep probe, each BE set's
+/// profiling), role fits (LS QoS and power, BE IPC and power), tables
+/// (each BE set's as one item, each LS QoS table with its slices split
+/// across `pool`) and predictors. In each phase the pool's workers claim
+/// the items one at a time, longest first, so no worker idles while
+/// another works through a block of services. Every row, score, model
+/// and table is bit-identical to the lazy path's. Must not run on a
+/// worker of `pool`, and no lazy caller on a worker of `pool` may ask
+/// for a service this call is training. Afterwards predictor_for() for
+/// any listed pair is a pure cache hit -- the cluster runner warms its
+/// fleet's models once here instead of paying a training campaign
+/// inside the first epoch of every node.
 void warm_models(
     const std::vector<std::pair<const LsProfile*, const BeProfile*>>& pairs,
     ThreadPool* pool = nullptr, const core::TrainerConfig& config = {});

@@ -29,7 +29,7 @@ class FaultyCpuset final : public isolation::CpusetController {
 
   void set_cpuset(isolation::AppId app,
                   const std::vector<int>& cores) override;
-  std::vector<int> cpuset(isolation::AppId app) const override {
+  const std::vector<int>& cpuset(isolation::AppId app) const override {
     return inner_.cpuset(app);
   }
 

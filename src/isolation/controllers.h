@@ -43,7 +43,8 @@ class CpusetController {
   /// Throws std::invalid_argument on out-of-range or duplicate ids.
   virtual void set_cpuset(AppId app, const std::vector<int>& cores) = 0;
 
-  virtual std::vector<int> cpuset(AppId app) const = 0;
+  /// `app`'s core list, valid until the next set_cpuset().
+  virtual const std::vector<int>& cpuset(AppId app) const = 0;
 };
 
 /// LLC way partitioning (Intel CAT): each app's class of service carries

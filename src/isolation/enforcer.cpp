@@ -1,11 +1,31 @@
 #include "isolation/enforcer.h"
 
 #include <bit>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/check.h"
 
 namespace sturgeon::isolation {
+
+namespace {
+
+/// Set `out` to the core ids [first, first + count), in its storage.
+void assign_run(std::vector<int>& out, int first, int count) {
+  out.resize(static_cast<std::size_t>(count));
+  std::iota(out.begin(), out.end(), first);
+}
+
+/// Whether `cores` is exactly the ids [first, first + count), in order.
+bool is_run(const std::vector<int>& cores, int first, int count) {
+  if (cores.size() != static_cast<std::size_t>(count)) return false;
+  for (int k = 0; k < count; ++k) {
+    if (cores[static_cast<std::size_t>(k)] != first + k) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 ResourceEnforcer::ResourceEnforcer(const MachineSpec& machine,
                                    CpusetController& cpuset,
@@ -16,32 +36,21 @@ ResourceEnforcer::ResourceEnforcer(const MachineSpec& machine,
       freq_(freq),
       current_(Partition::all_to_ls(machine)) {}
 
-std::vector<int> ResourceEnforcer::ls_core_list(int count) const {
-  std::vector<int> cores;
-  cores.reserve(static_cast<std::size_t>(count));
-  for (int c = 0; c < count; ++c) cores.push_back(c);
-  return cores;
-}
-
-std::vector<int> ResourceEnforcer::be_core_list(int count) const {
-  // BE occupies the top of the core range so LS growth from the bottom
-  // never collides mid-transition.
-  std::vector<int> cores;
-  cores.reserve(static_cast<std::size_t>(count));
-  for (int c = machine_.num_cores - count; c < machine_.num_cores; ++c) {
-    cores.push_back(c);
-  }
-  return cores;
-}
-
 void ResourceEnforcer::apply(const Partition& target) {
   if (!target.enforceable_on(machine_)) {
     throw std::invalid_argument("ResourceEnforcer::apply: invalid target " +
                                 target.to_string(machine_));
   }
 
-  const auto ls_cores = ls_core_list(target.ls.cores);
-  const auto be_cores = be_core_list(target.be.cores);
+  // The core lists live in per-thread scratch, so a fleet of nodes holds
+  // no copy per node and a warm apply allocates nothing. BE occupies the
+  // top of the core range so LS growth from the bottom never collides
+  // mid-transition.
+  thread_local std::vector<int> ls_cores;
+  thread_local std::vector<int> be_cores;
+  assign_run(ls_cores, 0, target.ls.cores);
+  assign_run(be_cores, machine_.num_cores - target.be.cores,
+             target.be.cores);
   const std::uint32_t ls_mask = contiguous_mask(target.ls.llc_ways, 0);
   const std::uint32_t be_mask = contiguous_mask(
       target.be.llc_ways, machine_.llc_ways - target.be.llc_ways);
@@ -89,10 +98,11 @@ void ResourceEnforcer::apply(const Partition& target) {
 }
 
 bool ResourceEnforcer::verify(const Partition& target) const {
-  if (cpuset_.cpuset(AppId::kLs) != ls_core_list(target.ls.cores)) {
-    return false;
-  }
-  if (cpuset_.cpuset(AppId::kBe) != be_core_list(target.be.cores)) {
+  const std::vector<int>& ls_cores = cpuset_.cpuset(AppId::kLs);
+  const std::vector<int>& be_cores = cpuset_.cpuset(AppId::kBe);
+  if (!is_run(ls_cores, 0, target.ls.cores) ||
+      !is_run(be_cores, machine_.num_cores - target.be.cores,
+              target.be.cores)) {
     return false;
   }
   if (cat_.way_mask(AppId::kLs) != contiguous_mask(target.ls.llc_ways, 0)) {
@@ -101,10 +111,10 @@ bool ResourceEnforcer::verify(const Partition& target) const {
   const std::uint32_t be_mask = contiguous_mask(
       target.be.llc_ways, machine_.llc_ways - target.be.llc_ways);
   if (cat_.way_mask(AppId::kBe) != be_mask) return false;
-  for (const int core : cpuset_.cpuset(AppId::kLs)) {
+  for (const int core : ls_cores) {
     if (freq_.frequency_level(core) != target.ls.freq_level) return false;
   }
-  for (const int core : cpuset_.cpuset(AppId::kBe)) {
+  for (const int core : be_cores) {
     if (freq_.frequency_level(core) != target.be.freq_level) return false;
   }
   return true;
@@ -115,8 +125,8 @@ void ResourceEnforcer::resync() {
   // be an inconsistent mixture (that is the point: a failed apply left
   // one), but it is what the next apply's shrink-before-grow ordering
   // and change detection must be computed against.
-  const auto ls_cores = cpuset_.cpuset(AppId::kLs);
-  const auto be_cores = cpuset_.cpuset(AppId::kBe);
+  const std::vector<int>& ls_cores = cpuset_.cpuset(AppId::kLs);
+  const std::vector<int>& be_cores = cpuset_.cpuset(AppId::kBe);
   Partition actual;
   actual.ls.cores = static_cast<int>(ls_cores.size());
   actual.be.cores = static_cast<int>(be_cores.size());

@@ -32,6 +32,9 @@ class ResourceEnforcer {
   /// Verify-after-apply: read the tool state back through the actuator
   /// interfaces and compare against what apply(target) programs. False
   /// means some tool silently dropped or half-applied the request.
+  /// Once warm, neither apply() nor verify() allocates: apply() builds
+  /// its core lists in per-thread scratch, and verify() reads the tools'
+  /// lists in place.
   bool verify(const Partition& target) const;
 
   /// Rebuild current() from the tools' actual state. Call after an
@@ -45,9 +48,6 @@ class ResourceEnforcer {
   std::uint64_t actuation_count() const { return actuations_; }
 
  private:
-  std::vector<int> ls_core_list(int count) const;
-  std::vector<int> be_core_list(int count) const;
-
   MachineSpec machine_;
   CpusetController& cpuset_;
   CatController& cat_;

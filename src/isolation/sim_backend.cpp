@@ -104,7 +104,7 @@ void SimBackend::CpusetImpl::set_cpuset(AppId app,
   owner_.sync();
 }
 
-std::vector<int> SimBackend::CpusetImpl::cpuset(AppId app) const {
+const std::vector<int>& SimBackend::CpusetImpl::cpuset(AppId app) const {
   return owner_.state_.cpusets[static_cast<std::size_t>(app)];
 }
 

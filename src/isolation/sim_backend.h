@@ -49,7 +49,7 @@ class SimBackend {
     explicit CpusetImpl(SimBackend& owner) : owner_(owner) {}
     /// Also throws if `cores` shares a core with the other app's cpuset.
     void set_cpuset(AppId app, const std::vector<int>& cores) override;
-    std::vector<int> cpuset(AppId app) const override;
+    const std::vector<int>& cpuset(AppId app) const override;
 
    private:
     SimBackend& owner_;

@@ -68,9 +68,13 @@ class ThreadPool {
   }
 
   /// Run fn(i) for i in [0, n), blocking until all complete. Work is
-  /// block-partitioned; if blocks throw, the exception from the
-  /// lowest-indexed failing block is rethrown after every block has
-  /// finished (so no block can outlive `fn` or its captures). The caller
+  /// block-partitioned: each worker gets one contiguous block of about
+  /// n / size() indices, so uneven items need another schedule (e.g.
+  /// parallel_for(size(), ...) with each worker claiming the next item
+  /// from a shared counter, as exp::warm_models does). If blocks throw,
+  /// the exception from the lowest-indexed failing block is rethrown
+  /// after every block has finished (so no block can outlive `fn` or
+  /// its captures). The caller
   /// only waits, so a call from one of this pool's own workers could
   /// deadlock: it throws std::logic_error before queuing any block. A
   /// worker may still call parallel_for on a different pool.

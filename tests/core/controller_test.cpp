@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -252,6 +253,35 @@ TEST(Policy, AllocationOverloadAdaptsExactlyAtKTwo) {
   const Allocation three(std::vector<AppSlice>{q.ls, q.be, AppSlice{}});
   EXPECT_THROW(sliced.decide(sample(8.5, 8000.0), three),
                std::invalid_argument);
+}
+
+TEST(Controller, DescribePrintsDoublesAsAStreamDoes) {
+  // describe() formats without a stream; every string must stay the one
+  // an ostringstream printed, byte for byte (cluster results and
+  // benchmark digests carry it). The spread crosses %g's switch to
+  // exponent form at both ends, rounding at the 6th digit, a denormal
+  // and the largest double.
+  const auto predictor = testing::fake_predictor(m);
+  const double spread[] = {5e-324,    1e-300,   1e-5,      1e-4,
+                           1.2345678e-4, 0.1,   0.2,       1.0 / 3.0,
+                           1.0,       10.0,     99.99995,  99.999949,
+                           123456.0,  999999.5, 1234567.0, 2.5e15,
+                           1e21,      1.7976931348623157e308};
+  for (const double v : spread) {
+    for (const bool balancer : {true, false}) {
+      SturgeonOptions opts;
+      opts.alpha = v / 2;
+      opts.beta = v;
+      opts.enable_balancer = balancer;
+      SturgeonController ctl(predictor, v, 100.0, opts);
+      ctl.set_power_cap(v * 0.75);
+      std::ostringstream want;
+      want << ctl.name() << "(alpha=" << opts.alpha << ", beta=" << opts.beta
+           << ", qos_target_ms=" << v << ", power_budget_w=" << v * 0.75
+           << ", balancer=" << (balancer ? "on" : "off") << ")";
+      EXPECT_EQ(ctl.describe(), want.str()) << "value " << v;
+    }
+  }
 }
 
 TEST(Controller, RejectsBadArguments) {

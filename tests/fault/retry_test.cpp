@@ -27,7 +27,7 @@ class FlakyCpuset final : public isolation::CpusetController {
     if (fail) throw ActuatorError("cpuset write");
     inner_.set_cpuset(app, cores);
   }
-  std::vector<int> cpuset(AppId app) const override {
+  const std::vector<int>& cpuset(AppId app) const override {
     return inner_.cpuset(app);
   }
 

@@ -1,8 +1,9 @@
 // Allocation gate for the simulated Table III tools: once warm, the six
 // tool writes of one ResourceEnforcer::apply (two cpusets, two way masks,
-// two frequency writes) allocate nothing. This file replaces the global
-// allocation functions of the isolation_tests binary with ones that count
-// every operator new and forward to malloc/free.
+// two frequency writes) allocate nothing, and neither does a whole
+// ResourceEnforcer::apply followed by its verify. This file replaces the
+// global allocation functions of the isolation_tests binary with ones
+// that count every operator new and forward to malloc/free.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <new>
 #include <vector>
 
+#include "isolation/enforcer.h"
 #include "isolation/sim_backend.h"
 
 namespace {
@@ -99,18 +101,27 @@ void issue(SimBackend& backend, const Writes& from, const Writes& to) {
   }
 }
 
-TEST(SimBackendAllocation, WarmToolWritesAllocateNothing) {
-  // The replacement must be the one in use, or the gate passes vacuously.
+/// Whether operator new is the counting replacement; a gate whose
+/// replacement is not in use would pass vacuously.
+bool counting_new_in_use() {
   const std::uint64_t probe = g_news.load();
   {
     std::vector<int> escaping(16);
     g_escape = escaping.data();
   }
-  ASSERT_GT(g_news.load(), probe) << "operator new is not the counting one";
+  return g_news.load() > probe;
+}
 
+sim::SimulatedServer quiet_server() {
   sim::ServerConfig cfg;
   cfg.interference.enabled = false;
-  sim::SimulatedServer server(find_ls("memcached"), find_be("bs"), 1, cfg);
+  return sim::SimulatedServer(find_ls("memcached"), find_be("bs"), 1, cfg);
+}
+
+TEST(SimBackendAllocation, WarmToolWritesAllocateNothing) {
+  ASSERT_TRUE(counting_new_in_use()) << "operator new is not the counting one";
+
+  sim::SimulatedServer server = quiet_server();
   SimBackend backend(server);
   const MachineSpec& m = server.machine();
 
@@ -136,6 +147,36 @@ TEST(SimBackendAllocation, WarmToolWritesAllocateNothing) {
   EXPECT_EQ(news, 0u) << "operator new calls in 1,000 warm write sequences";
   EXPECT_TRUE(reached) << "a write sequence missed its partition";
   EXPECT_EQ(server.partition(), a.target);
+}
+
+TEST(SimBackendAllocation, WarmApplyAndVerifyAllocateNothing) {
+  ASSERT_TRUE(counting_new_in_use()) << "operator new is not the counting one";
+
+  sim::SimulatedServer server = quiet_server();
+  SimBackend backend(server);
+  const MachineSpec& m = server.machine();
+  ResourceEnforcer enforcer(m, backend.cpuset(), backend.cat(),
+                            backend.freq());
+  const Partition a{{12, 8, 12}, {8, 3, 8}};
+  const Partition b{{6, m.max_freq_level(), 7}, {14, 2, 13}};
+  // Warm-up: one round trip sizes every staged vector.
+  enforcer.apply(a);
+  enforcer.apply(b);
+  enforcer.apply(a);
+
+  bool verified = true;
+  const std::uint64_t before = g_news.load();
+  for (int i = 0; i < 1000; ++i) {
+    const Partition& to = i % 2 == 0 ? b : a;
+    enforcer.apply(to);
+    verified = enforcer.verify(to) && verified;
+  }
+  const std::uint64_t news = g_news.load() - before;
+
+  EXPECT_EQ(news, 0u) << "operator new calls in 1,000 warm apply + verify "
+                         "sequences";
+  EXPECT_TRUE(verified) << "a verify rejected the partition just applied";
+  EXPECT_EQ(server.partition(), a);
 }
 
 }  // namespace

@@ -12,7 +12,8 @@
  *   $CPU_PROFILE_OUT.<pid>.stacks  little-endian 64-bit words: magic,
  *                                  sampling interval in us, samples
  *                                  dropped for lack of room, then one
- *                                  record per sample: depth, then the
+ *                                  record per sample: depth, the
+ *                                  sampled thread's id, then the
  *                                  interrupted pc and the return
  *                                  addresses above it, innermost first
  *   $CPU_PROFILE_OUT.<pid>.maps    a copy of /proc/self/maps
@@ -34,7 +35,7 @@
 #include <ucontext.h>
 #include <unistd.h>
 
-#define MAGIC 0x31666f7270757063ull /* "cpuprof1" */
+#define MAGIC 0x32666f7270757063ull /* "cpuprof2" */
 #define INTERVAL_US 1000
 #define MAX_DEPTH 128
 #define BUF_WORDS (1u << 24) /* 128 MiB reserved, touched as filled */
@@ -75,18 +76,19 @@ static void record(void* context) {
   }
   const uint64_t depth = first < 0 ? (pc != 0 ? 1 : 0) : (uint64_t)(n - first);
   if (depth == 0) return;
-  const uint64_t at = __atomic_fetch_add(&used, depth + 1, __ATOMIC_RELAXED);
-  if (at + depth + 1 > BUF_WORDS) {
+  const uint64_t at = __atomic_fetch_add(&used, depth + 2, __ATOMIC_RELAXED);
+  if (at + depth + 2 > BUF_WORDS) {
     __atomic_fetch_add(&dropped, 1, __ATOMIC_RELAXED);
     return;
   }
   uint64_t* rec = buf + at;
   rec[0] = depth;
+  rec[1] = (uint64_t)gettid(); /* async-signal-safe */
   if (first < 0) {
-    rec[1] = pc;
+    rec[2] = pc;
   } else {
     for (uint64_t i = 0; i < depth; ++i) {
-      rec[1 + i] = (uintptr_t)frames[first + (int)i];
+      rec[2 + i] = (uintptr_t)frames[first + (int)i];
     }
   }
 }
