@@ -1,6 +1,8 @@
 #include "fleet/export.h"
 
+#include <cstdint>
 #include <fstream>
+#include <string_view>
 
 #include "cluster/export.h"
 #include "telemetry/export.h"
@@ -35,7 +37,19 @@ void write_fleet_jsonl(const FleetResult& result, std::ostream& os) {
      << ",\"jobs_active_at_end\":" << result.jobs_active_at_end
      << ",\"jobs_queued_at_end\":" << result.jobs_queued_at_end
      << ",\"mean_job_completion_epochs\":"
-     << num(result.mean_job_completion_epochs) << "}\n";
+     << num(result.mean_job_completion_epochs);
+  // The roll-up of every node's counters, in name order.
+  os << ",\"counters\":{";
+  const char* sep = "";
+  if (result.cluster.telemetry != nullptr) {
+    result.cluster.telemetry->metrics().for_each_counter(
+        [&os, &sep](std::string_view name, std::uint64_t value) {
+          if (!name.starts_with("fleet.")) return;
+          os << sep << '"' << telemetry::json_escape(name) << "\":" << value;
+          sep = ",";
+        });
+  }
+  os << "}}\n";
 }
 
 bool write_fleet_jsonl(const FleetResult& result, const std::string& path) {

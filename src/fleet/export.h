@@ -14,7 +14,9 @@
 namespace sturgeon::fleet {
 
 /// write_cluster_jsonl(result.cluster) plus a final
-/// `{"type":"fleet_summary",...}` line. Schema stability rules follow
+/// `{"type":"fleet_summary",...}` line, whose last field, `counters`,
+/// holds every `fleet.*` counter of the cluster registry (the node
+/// counters' roll-up) in name order. Schema stability rules follow
 /// telemetry/export.h: append fields, never rename or reorder.
 void write_fleet_jsonl(const FleetResult& result, std::ostream& os);
 

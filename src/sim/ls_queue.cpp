@@ -1,6 +1,7 @@
 #include "sim/ls_queue.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 
@@ -9,7 +10,26 @@
 namespace sturgeon::sim {
 
 namespace {
-constexpr auto kMinHeap = std::greater<>{};
+
+/// The earliest of `n` server free times and where it is: +infinity (so
+/// no request starts) when there is no server. The scan selects with
+/// conditional moves, not branches, since which entry is earliest
+/// depends on the random draws.
+struct Earliest {
+  double free_ms = std::numeric_limits<double>::infinity();
+  std::size_t at = 0;
+};
+
+Earliest earliest(const double* free_ms, std::size_t n) {
+  Earliest e;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool earlier = free_ms[i] < e.free_ms;
+    e.free_ms = earlier ? free_ms[i] : e.free_ms;
+    e.at = earlier ? i : e.at;
+  }
+  return e;
+}
+
 }  // namespace
 
 LsQueueSim::LsQueueSim(std::uint64_t seed) : rng_(seed) {}
@@ -44,15 +64,22 @@ IntervalStats LsQueueSim::step(double dt_ms, int servers, double qps,
   // cpuset rebalancing would do on real hardware).
   while (static_cast<int>(server_free_.size()) > servers &&
          !server_free_.empty()) {
-    std::pop_heap(server_free_.begin(), server_free_.end(), kMinHeap);
+    server_free_[earliest(server_free_.data(), server_free_.size()).at] =
+        server_free_.back();
     server_free_.pop_back();
   }
   while (static_cast<int>(server_free_.size()) < servers) {
     server_free_.push_back(now_ms_);
-    std::push_heap(server_free_.begin(), server_free_.end(), kMinHeap);
   }
+  double* const free_ms = server_free_.data();
+  const std::size_t num_servers = server_free_.size();
+  Earliest next = earliest(free_ms, num_servers);
 
-  std::vector<double> latencies;
+  // This step's latencies, in a per-thread buffer that keeps its capacity
+  // from step to step.
+  thread_local std::vector<double> latency_scratch;
+  std::vector<double>& latencies = latency_scratch;
+  latencies.clear();
   double busy_time_ms = 0.0;
 
   // The demand distribution is fixed for the step: set it up once. The
@@ -62,15 +89,16 @@ IntervalStats LsQueueSim::step(double dt_ms, int servers, double qps,
       draw_service ? lognormal_params(mean_service_ms, service_cv)
                    : LognormalParams{};
 
+  // The request goes to the earliest-free server; which of several tied
+  // servers takes it cannot matter, as only the multiset of free times
+  // is ever read.
   const auto try_dispatch = [&](double arrival_ms) -> bool {
-    if (server_free_.empty()) return false;
-    const double start = std::max(arrival_ms, server_free_.front());
+    const double start = std::max(arrival_ms, next.free_ms);
     if (start >= end_ms) return false;  // next config serves it instead
     const double service =
         draw_service ? rng_.lognormal(service_dist) : mean_service_ms;
-    std::pop_heap(server_free_.begin(), server_free_.end(), kMinHeap);
-    server_free_.back() = start + service;
-    std::push_heap(server_free_.begin(), server_free_.end(), kMinHeap);
+    free_ms[next.at] = start + service;
+    next = earliest(free_ms, num_servers);
     const double latency = start + service - arrival_ms;
     latencies.push_back(latency);
     ++stats.completed;

@@ -15,6 +15,7 @@
 // resources are added.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <queue>
 #include <vector>
@@ -58,7 +59,8 @@ class LsQueueSim {
  private:
   Rng rng_;
   double now_ms_ = 0.0;
-  /// Min-heap (via std::*_heap on a vector) of per-server free times.
+  /// Per-server free times, one entry per server, in no order: a step
+  /// reads only their minimum and their multiset.
   std::vector<double> server_free_;
   /// Arrival times of requests waiting for a server (FIFO).
   std::queue<double> waiting_;

@@ -10,9 +10,9 @@
 // testbed (see DESIGN.md section 2).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "sim/interference.h"
 #include "sim/ls_queue.h"
@@ -57,7 +57,7 @@ struct ServerTelemetry {
 
   /// Per-workload breakdown, LS then BE; the scalar fields above are
   /// their roll-up.
-  std::vector<SliceTelemetry> slices;
+  std::array<SliceTelemetry, 2> slices;
 
   bool qos_met() const { return ls.p95_ms <= qos_target_ms; }
 };

@@ -49,31 +49,9 @@ std::uint64_t stable_hash(std::string_view s) {
   return shift_mix(shift_mix(h) * kMul);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::next_double() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -98,31 +76,8 @@ int Rng::uniform_int(int lo, int hi) {
 
 bool Rng::bernoulli(double p) { return next_double() < p; }
 
-double Rng::exponential(double rate) {
-  if (rate <= 0.0) throw std::invalid_argument("Rng::exponential: rate <= 0");
-  double u = next_double();
-  while (u <= 0.0) u = next_double();
-  return -std::log(u) / rate;
-}
-
-double Rng::normal() {
-  if (has_spare_) {
-    has_spare_ = false;
-    return spare_normal_;
-  }
-  double u1;
-  do {
-    u1 = next_double();
-  } while (u1 <= 1e-300);
-  const double u2 = next_double();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  spare_normal_ = mag * std::sin(2.0 * M_PI * u2);
-  has_spare_ = true;
-  return mag * std::cos(2.0 * M_PI * u2);
-}
-
-double Rng::normal(double mean, double stddev) {
-  return mean + stddev * normal();
+void Rng::throw_bad_rate() {
+  throw std::invalid_argument("Rng::exponential: rate <= 0");
 }
 
 LognormalParams lognormal_params(double mean, double cv) {
@@ -134,10 +89,6 @@ double Rng::lognormal_mean_cv(double mean, double cv) {
   if (mean <= 0.0) throw std::invalid_argument("lognormal_mean_cv: mean <= 0");
   if (cv <= 0.0) return mean;
   return lognormal(lognormal_params(mean, cv));
-}
-
-double Rng::lognormal(const LognormalParams& p) {
-  return std::exp(p.mu + p.sigma * normal());
 }
 
 std::uint64_t Rng::poisson(double mean) {

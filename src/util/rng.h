@@ -48,6 +48,10 @@ struct LognormalParams {
 LognormalParams lognormal_params(double mean, double cv);
 
 /// xoshiro256++ generator with convenience distributions.
+///
+/// The draws the simulator makes per request (next_u64, next_double,
+/// exponential, normal, lognormal) are defined below, in the header, so
+/// a hot loop calls only libm; the rest live in rng.cpp.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x5357524745ULL);
@@ -93,9 +97,62 @@ class Rng {
   Rng fork(std::uint64_t label) const;
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  /// Throws std::invalid_argument for exponential()'s rate.
+  [[noreturn, gnu::cold]] static void throw_bad_rate();
+
   std::uint64_t s_[4];
   double spare_normal_ = 0.0;
   bool has_spare_ = false;
 };
+
+inline std::uint64_t Rng::next_u64() {
+  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = rotl(s_[3], 45);
+  return result;
+}
+
+inline double Rng::next_double() {
+  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+}
+
+inline double Rng::exponential(double rate) {
+  if (rate <= 0.0) throw_bad_rate();
+  double u = next_double();
+  while (u <= 0.0) u = next_double();
+  return -std::log(u) / rate;
+}
+
+inline double Rng::normal() {
+  if (has_spare_) {
+    has_spare_ = false;
+    return spare_normal_;
+  }
+  double u1;
+  do {
+    u1 = next_double();
+  } while (u1 <= 1e-300);
+  const double u2 = next_double();
+  const double mag = std::sqrt(-2.0 * std::log(u1));
+  spare_normal_ = mag * std::sin(2.0 * M_PI * u2);
+  has_spare_ = true;
+  return mag * std::cos(2.0 * M_PI * u2);
+}
+
+inline double Rng::normal(double mean, double stddev) {
+  return mean + stddev * normal();
+}
+
+inline double Rng::lognormal(const LognormalParams& p) {
+  return std::exp(p.mu + p.sigma * normal());
+}
 
 }  // namespace sturgeon

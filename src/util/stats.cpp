@@ -1,6 +1,7 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -81,27 +82,68 @@ double percentile_sorted(const std::vector<double>& sorted, double p) {
                        : sorted[r.k];
 }
 
+double tail_select_pivot(const std::vector<double>& values) {
+  constexpr std::size_t kSamples = 64;
+  constexpr std::size_t kPivotRank = 52;
+  if (values.size() < kSamples) {
+    throw std::invalid_argument("tail_select_pivot: fewer than 64 values");
+  }
+  const std::size_t stride = values.size() / kSamples;
+  std::array<double, kSamples> sample;
+  for (std::size_t j = 0; j < kSamples; ++j) sample[j] = values[j * stride];
+  std::nth_element(sample.begin(), sample.begin() + kPivotRank, sample.end());
+  return sample[kPivotRank];
+}
+
 std::pair<double, double> percentile_pair(std::vector<double>& values,
                                           double p_lo, double p_hi) {
   if (values.empty()) throw std::invalid_argument("percentile of empty set");
   if (!(p_lo <= p_hi)) {
     throw std::invalid_argument("percentile_pair: p_lo > p_hi");
   }
+  const std::size_t n = values.size();
+  const PercentileRank lo = percentile_rank(n, p_lo);
+  const PercentileRank hi = percentile_rank(n, p_hi);
+  // [v, end) holds exactly the order statistics base..n-1: all of
+  // `values`, or the values above a pivot, moved to its front. Every
+  // value at or below the pivot ranks below every value above it, so
+  // when `count` values lie above it they are exactly the top `count`
+  // order statistics, and every rank read (>= lo.k) is among them if
+  // count >= n - lo.k.
   double* const v = values.data();
-  double* const end = v + values.size();
-  // Precondition: [from, n) holds exactly the order statistics from..n-1.
-  // Selecting rank k leaves [k + 1, n) holding ranks k + 1..n-1, so the
-  // rank after k is that tail's minimum and a higher rank is a second
-  // selection inside it.
+  double* end = v + n;
+  std::size_t base = 0;
+  if (n >= kTailSelectMinSize) {
+    const double pivot = tail_select_pivot(values);
+    // A partition without data-dependent branches: [v, v + count) holds
+    // the values above the pivot and [v + count, v + i) the others, so
+    // swapping v[i] into slot `count` keeps both true whichever side
+    // v[i] is on. It only permutes `values`, so the full selection below
+    // still sees all of them.
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = v[i];
+      v[i] = v[count];
+      v[count] = x;
+      count += x > pivot ? 1 : 0;
+    }
+    if (count >= n - lo.k) {
+      end = v + count;
+      base = n - count;
+    }
+  }
+  // Precondition: [from, end) holds exactly the order statistics
+  // base + from..n-1. Selecting rank k leaves the positions after it
+  // holding the ranks above k, so the rank after k is that tail's minimum
+  // and a higher rank is a second selection inside it.
   const auto select = [&](std::size_t from, const PercentileRank& r) {
-    std::nth_element(v + from, v + r.k, end);
-    if (!r.interpolate) return v[r.k];
-    return interpolate(v[r.k], *std::min_element(v + r.k + 1, end), r.frac);
+    double* const at = v + (r.k - base);
+    std::nth_element(v + from, at, end);
+    if (!r.interpolate) return *at;
+    return interpolate(*at, *std::min_element(at + 1, end), r.frac);
   };
-  const PercentileRank lo = percentile_rank(values.size(), p_lo);
-  const PercentileRank hi = percentile_rank(values.size(), p_hi);
   const double at_lo = select(0, lo);
-  return {at_lo, select(lo.k, hi)};
+  return {at_lo, select(lo.k - base, hi)};
 }
 
 double percentile(std::vector<double> values, double p) {

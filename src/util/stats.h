@@ -42,10 +42,25 @@ double percentile_sorted(const std::vector<double>& sorted, double p);
 
 /// The p_lo-th and p_hi-th percentiles (p_lo <= p_hi) of `values`, each
 /// equal to percentile_sorted on a sorted copy, found by selection in
-/// O(n) instead of a sort. Reorders `values`. Bit-identical for any
+/// O(n) instead of a sort. May reorder `values`. Bit-identical for any
 /// values without NaN (-0.0 and +0.0 tie, so either may be returned).
+///
+/// From kTailSelectMinSize values up, it moves the values above
+/// tail_select_pivot(values) to the front of `values` and selects among
+/// them when every rank it reads lies there, and over all of `values`
+/// otherwise.
 std::pair<double, double> percentile_pair(std::vector<double>& values,
                                           double p_lo, double p_hi);
+
+/// The size from which percentile_pair selects in the tail. Measured on
+/// lognormal latencies (p95 and p99): the tail select costs 1.08x a full
+/// selection at 128 values, 0.86x at 192, 0.75x at 256 and 0.48x at
+/// 2,048, so below 192 sampling a pivot does not pay.
+inline constexpr std::size_t kTailSelectMinSize = 192;
+
+/// percentile_pair's tail pivot for n >= 64 values: the 53rd smallest of
+/// 64 values taken at a fixed stride, about the 81st percentile.
+double tail_select_pivot(const std::vector<double>& values);
 
 /// P² (Jain & Chlamtac) single-quantile online estimator: O(1) memory,
 /// no sample storage. Used by the 1 s telemetry sampler for p95/p99.

@@ -368,6 +368,20 @@ TEST(FleetExport, JsonlCarriesEngineAndChurnFields) {
         "\"event_queue_peak\"", "\"mean_job_completion_epochs\""}) {
     EXPECT_NE(fleet_line.find(field), std::string::npos) << field;
   }
+  // The counters roll-up closes the line; its fleet.run.epochs is the
+  // sum of the nodes' stepped epochs.
+  const std::size_t counters = fleet_line.find(",\"counters\":{");
+  ASSERT_NE(counters, std::string::npos);
+  EXPECT_EQ(fleet_line.substr(fleet_line.size() - 2), "}}");
+  const std::string key = "\"fleet.run.epochs\":";
+  const std::size_t at = fleet_line.find(key, counters);
+  ASSERT_NE(at, std::string::npos);
+  std::uint64_t stepped = 0;
+  for (const NodeResult& nr : r.cluster.node_results) {
+    stepped += static_cast<std::uint64_t>(nr.epochs);
+  }
+  EXPECT_GT(stepped, 0u);
+  EXPECT_EQ(std::stoull(fleet_line.substr(at + key.size())), stepped);
 }
 
 TEST(FleetSim, RunIsOneShot) {

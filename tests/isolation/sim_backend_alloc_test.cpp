@@ -1,9 +1,12 @@
 // Allocation gate for the simulated Table III tools: once warm, the six
 // tool writes of one ResourceEnforcer::apply (two cpusets, two way masks,
 // two frequency writes) allocate nothing, and neither does a whole
-// ResourceEnforcer::apply followed by its verify. This file replaces the
-// global allocation functions of the isolation_tests binary with ones
-// that count every operator new and forward to malloc/free.
+// ResourceEnforcer::apply followed by its verify. The simulator the tools
+// drive is held to the same rule: a warm LsQueueSim::step and a warm
+// SimulatedServer::step allocate nothing while no request waits across a
+// step boundary. This file replaces the global allocation functions of
+// the isolation_tests binary with ones that count every operator new and
+// forward to malloc/free.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +19,8 @@
 
 #include "isolation/enforcer.h"
 #include "isolation/sim_backend.h"
+#include "sim/ls_queue.h"
+#include "sim/server.h"
 
 namespace {
 
@@ -177,6 +182,63 @@ TEST(SimBackendAllocation, WarmApplyAndVerifyAllocateNothing) {
                          "sequences";
   EXPECT_TRUE(verified) << "a verify rejected the partition just applied";
   EXPECT_EQ(server.partition(), a);
+}
+
+// Warm-up steps run at twice the measured load, so the per-thread
+// latency buffer already holds more than any measured step needs. A
+// step in which every arrival completes carries no waiting request into
+// the next, so the waiting queue, which allocates as it grows, stays
+// empty.
+TEST(SimStepAllocation, WarmQueueStepsAllocateNothing) {
+  ASSERT_TRUE(counting_new_in_use()) << "operator new is not the counting one";
+
+  sim::LsQueueSim queue(11);
+  bool none_waited = true;
+  for (int i = 0; i < 20; ++i) {
+    const sim::IntervalStats s = queue.step(1000.0, 8, 4000.0, 1.0, 0.8,
+                                            10.0);
+    none_waited = none_waited && s.arrivals == s.completed;
+  }
+  ASSERT_TRUE(none_waited) << "a warm-up request waited across a step";
+
+  std::uint64_t completed = 0;
+  const std::uint64_t before = g_news.load();
+  for (int i = 0; i < 1000; ++i) {
+    const sim::IntervalStats s = queue.step(1000.0, 8, 2000.0, 1.0, 0.8,
+                                            10.0);
+    none_waited = none_waited && s.arrivals == s.completed;
+    completed += s.completed;
+  }
+  const std::uint64_t news = g_news.load() - before;
+
+  EXPECT_EQ(news, 0u) << "operator new calls in 1,000 warm queue steps";
+  EXPECT_TRUE(none_waited) << "a request waited across a step boundary";
+  EXPECT_GT(completed, 1900000u);
+}
+
+TEST(SimStepAllocation, WarmServerStepsAllocateNothing) {
+  ASSERT_TRUE(counting_new_in_use()) << "operator new is not the counting one";
+
+  sim::SimulatedServer server = quiet_server();  // all cores to LS
+  bool none_waited = true;
+  for (int i = 0; i < 20; ++i) {
+    const sim::ServerTelemetry t = server.step(0.6);
+    none_waited = none_waited && t.ls.arrivals == t.ls.completed;
+  }
+  ASSERT_TRUE(none_waited) << "a warm-up request waited across a step";
+
+  std::uint64_t completed = 0;
+  const std::uint64_t before = g_news.load();
+  for (int i = 0; i < 1000; ++i) {
+    const sim::ServerTelemetry t = server.step(0.3);
+    none_waited = none_waited && t.ls.arrivals == t.ls.completed;
+    completed += t.ls.completed;
+  }
+  const std::uint64_t news = g_news.load() - before;
+
+  EXPECT_EQ(news, 0u) << "operator new calls in 1,000 warm server steps";
+  EXPECT_TRUE(none_waited) << "a request waited across a step boundary";
+  EXPECT_GT(completed, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,11 @@
 // helpers, which the real step shares, so a change to those helpers
 // shows here. The real simulator must give the same statistics, bit for
 // bit, from the same seed over any schedule of steps.
+//
+// The reference also counts which selection path percentile_pair takes
+// on each step's latencies (tail above a sampled pivot, its fallback to
+// a full selection, or below the size floor), so each schedule can show
+// that it reaches the path it was written for.
 #include "sim/ls_queue.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +27,7 @@
 #include <vector>
 
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace sturgeon::sim {
 namespace {
@@ -91,6 +97,7 @@ class ReferenceQueue {
     now_ms_ = end_ms;
 
     if (!latencies.empty()) {
+      count_selection_path(latencies);
       std::sort(latencies.begin(), latencies.end());
       stats.p95_ms = percentile_of_sorted(latencies, 95.0);
       stats.p99_ms = percentile_of_sorted(latencies, 99.0);
@@ -118,7 +125,30 @@ class ReferenceQueue {
 
   std::size_t waiting() const { return waiting_.size(); }
 
+  /// Steps whose p95/p99 percentile_pair reads in the tail above its
+  /// pivot, steps where too few values lie above the pivot (the full
+  /// selection fallback), and steps below the tail-select size floor.
+  struct SelectionPaths {
+    int tail = 0;
+    int fallback = 0;
+    int below_floor = 0;
+  };
+  const SelectionPaths& paths() const { return paths_; }
+
  private:
+  void count_selection_path(const std::vector<double>& latencies) {
+    const std::size_t n = latencies.size();
+    if (n < kTailSelectMinSize) {
+      ++paths_.below_floor;
+      return;
+    }
+    const double pivot = tail_select_pivot(latencies);
+    std::size_t above = 0;
+    for (double x : latencies) above += x > pivot ? 1 : 0;
+    const auto k95 = static_cast<std::size_t>(0.95 * static_cast<double>(n - 1));
+    ++(above >= n - k95 ? paths_.tail : paths_.fallback);
+  }
+
   static constexpr std::size_t kMaxWaiting = 200000;
 
   /// A lognormal demand with mean `mean` and CV `cv`; the mean itself,
@@ -145,6 +175,7 @@ class ReferenceQueue {
   double now_ms_ = 0.0;
   std::vector<double> server_free_;
   std::queue<double> waiting_;
+  SelectionPaths paths_;
 };
 
 struct Step {
@@ -158,13 +189,19 @@ struct Step {
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
+struct RunSummary {
+  std::size_t max_waiting = 0;  ///< the reference's largest waiting queue
+  std::uint64_t max_completed = 0;  ///< most completions in one step
+  ReferenceQueue::SelectionPaths paths;
+};
+
 /// Runs both simulators through `schedule` and compares every statistic
-/// after every step. Returns the reference's largest waiting queue.
-std::size_t expect_same_run(std::uint64_t seed,
-                            const std::vector<Step>& schedule) {
+/// after every step.
+RunSummary expect_same_run(std::uint64_t seed,
+                           const std::vector<Step>& schedule) {
   LsQueueSim real(seed);
   ReferenceQueue ref(seed);
-  std::size_t max_waiting = 0;
+  RunSummary run;
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     const Step& s = schedule[i];
     SCOPED_TRACE(::testing::Message()
@@ -184,9 +221,11 @@ std::size_t expect_same_run(std::uint64_t seed,
     EXPECT_EQ(bits(a.utilization), bits(b.utilization));
     EXPECT_EQ(a.backlog, b.backlog);
     EXPECT_EQ(real.backlog(), ref.backlog());
-    max_waiting = std::max(max_waiting, ref.waiting());
+    run.max_waiting = std::max(run.max_waiting, ref.waiting());
+    run.max_completed = std::max(run.max_completed, b.completed);
   }
-  return max_waiting;
+  run.paths = ref.paths();
+  return run;
 }
 
 TEST(LsQueueOracle, ScheduledStepsMatchReference) {
@@ -208,9 +247,9 @@ TEST(LsQueueOracle, ScheduledStepsMatchReference) {
       {1000.0, 12, 4000.0, 1.0, 0.6, 3.0},    // grow while backlogged
       {1000.0, 5, 100.0, 1.0, 0.7, 10.0},     // light again
   };
-  const std::size_t max_waiting = expect_same_run(17, schedule);
+  const RunSummary run = expect_same_run(17, schedule);
   // The schedule reaches the waiting-queue cap (the drop path).
-  EXPECT_EQ(max_waiting, 200000u);
+  EXPECT_EQ(run.max_waiting, 200000u);
 }
 
 TEST(LsQueueOracle, RandomSchedulesMatchReference) {
@@ -232,6 +271,82 @@ TEST(LsQueueOracle, RandomSchedulesMatchReference) {
     }
     expect_same_run(seed, schedule);
   }
+}
+
+TEST(LsQueueOracle, ThousandsOfCompletionsPerStepMatchReference) {
+  // The shape of a busy node: up to 20 servers and a few thousand
+  // completions a step, so p95/p99 come from the tail select.
+  for (std::uint64_t seed : {5u, 601u}) {
+    Rng pick(seed * 104729 + 3);
+    std::vector<Step> schedule;
+    for (int i = 0; i < 24; ++i) {
+      Step s;
+      s.dt_ms = 1000.0;
+      s.servers = pick.uniform_int(8, 20);
+      s.mean_service_ms = pick.uniform(0.8, 2.0);
+      const double capacity = 1000.0 * s.servers / s.mean_service_ms;
+      s.qps = capacity * pick.uniform(0.3, 1.1);
+      s.service_cv = pick.uniform(0.4, 1.4);
+      s.qos_target_ms = pick.uniform(3.0, 15.0);
+      schedule.push_back(s);
+    }
+    const RunSummary run = expect_same_run(seed, schedule);
+    EXPECT_GE(run.max_completed, 5000u);
+    EXPECT_GT(run.paths.tail, 20) << "seed " << seed;
+  }
+}
+
+TEST(LsQueueOracle, DegenerateTailFallsBackAndMatchesReference) {
+  // cv = 0 on ample servers: nearly every latency equals the mean demand,
+  // so the pivot lands on that value, too few latencies lie above it, and
+  // percentile_pair falls back to selecting over all of them.
+  const std::vector<Step> schedule = {
+      {1000.0, 20, 3000.0, 1.0, 0.0, 5.0},
+      {1000.0, 20, 6000.0, 1.5, 0.0, 5.0},
+      {1000.0, 16, 900.0, 2.0, 0.0, 5.0},
+      {1000.0, 20, 3000.0, 1.0, 0.5, 5.0},  // lognormal demand: tail select
+      {1000.0, 20, 4000.0, 1.0, 0.0, 5.0},
+  };
+  const RunSummary run = expect_same_run(23, schedule);
+  EXPECT_GE(run.paths.fallback, 3);
+  EXPECT_EQ(run.paths.tail, 1);
+  EXPECT_EQ(run.paths.below_floor, 0);
+}
+
+TEST(LsQueueOracle, ShrinkAndRegrowWithTiedFreeTimesMatchReference) {
+  // 20 -> 1 -> 20 servers, with constant demand so that free times tie:
+  // regrown servers all free at the step start, and servers that drain a
+  // backlog with equal demands free at equal times. The shrink drops
+  // the earliest free times, whichever of the tied entries holds them.
+  const std::vector<Step> schedule = {
+      {1000.0, 20, 30000.0, 1.0, 0.0, 5.0},  // overload: backlog builds
+      {1000.0, 1, 30000.0, 1.0, 0.0, 5.0},   // shrink under backlog
+      {1000.0, 20, 0.0, 1.0, 0.0, 5.0},      // regrow: 19 tied at start
+      {1000.0, 1, 500.0, 1.0, 0.0, 5.0},     // shrink among tied times
+      {1000.0, 20, 25000.0, 1.0, 0.0, 5.0},  // regrow into overload
+      {250.0, 1, 25000.0, 1.0, 0.0, 5.0},
+      {1000.0, 20, 15000.0, 1.0, 0.0, 5.0},  // drain with tied demands
+      {1000.0, 1, 800.0, 1.0, 0.7, 5.0},     // lognormal from here on
+      {1000.0, 20, 18000.0, 1.0, 0.7, 5.0},
+      {1000.0, 1, 18000.0, 1.0, 0.7, 5.0},
+      {1000.0, 20, 6000.0, 1.0, 0.7, 5.0},
+  };
+  const RunSummary run = expect_same_run(29, schedule);
+  EXPECT_GT(run.max_waiting, 10000u);
+}
+
+TEST(LsQueueOracle, ZeroServersMatchReference) {
+  const std::vector<Step> schedule = {
+      {1000.0, 0, 700.0, 1.0, 0.5, 10.0},   // from the start: age only
+      {1000.0, 0, 0.0, 1.0, 0.5, 10.0},     // queued, no arrivals
+      {1000.0, 4, 700.0, 1.0, 0.5, 10.0},   // servers drain the queue
+      {1000.0, 0, 2000.0, 1.0, 0.5, 10.0},  // in service at the removal
+      {500.0, 0, 2000.0, 1.0, 0.0, 10.0},
+      {1000.0, 3, 2000.0, 1.0, 0.0, 10.0},
+      {1000.0, 0, 0.0, 1.0, 0.0, 10.0},
+  };
+  const RunSummary run = expect_same_run(31, schedule);
+  EXPECT_GT(run.max_waiting, 1000u);
 }
 
 }  // namespace

@@ -119,6 +119,104 @@ TEST(PercentilePair, RejectsEmptyAndReversedRanks) {
   EXPECT_THROW(percentile_pair(v, 99.0, 95.0), std::invalid_argument);
 }
 
+/// Checks percentile_pair(values, p_lo, p_hi) against percentile_sorted
+/// on a sorted copy, bit for bit, and that `values` is only reordered.
+void expect_pair_matches_sorted(const std::vector<double>& values,
+                                double p_lo, double p_hi) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> scratch = values;
+  const auto [lo, hi] = percentile_pair(scratch, p_lo, p_hi);
+  EXPECT_EQ(bits(lo), bits(percentile_sorted(sorted, p_lo)));
+  EXPECT_EQ(bits(hi), bits(percentile_sorted(sorted, p_hi)));
+  EXPECT_EQ(bits(lo), bits(written_out_percentile(sorted, p_lo)));
+  EXPECT_EQ(bits(hi), bits(written_out_percentile(sorted, p_hi)));
+  std::sort(scratch.begin(), scratch.end());
+  EXPECT_EQ(scratch, sorted);
+}
+
+/// Whether percentile_pair reads p95 and p99 of `values` inside the tail
+/// above its pivot (true) or selects over every value (false).
+bool selects_in_tail(const std::vector<double>& values) {
+  const std::size_t n = values.size();
+  if (n < kTailSelectMinSize) return false;
+  const double pivot = tail_select_pivot(values);
+  const auto above = static_cast<std::size_t>(std::count_if(
+      values.begin(), values.end(), [pivot](double x) { return x > pivot; }));
+  const auto k95 = static_cast<std::size_t>(0.95 * static_cast<double>(n - 1));
+  return above >= n - k95;
+}
+
+TEST(PercentilePair, TailSelectMatchesSortedAcrossTheFloor) {
+  Rng rng(31);
+  const std::size_t floor = kTailSelectMinSize;
+  for (std::size_t n : {floor - 2, floor - 1, floor, floor + 1, floor + 7,
+                        std::size_t{1000}, std::size_t{4096},
+                        std::size_t{20011}}) {
+    std::vector<double> values(n);
+    for (double& x : values) x = rng.lognormal_mean_cv(2.0, 0.9);
+    SCOPED_TRACE(::testing::Message() << "n " << n);
+    EXPECT_EQ(selects_in_tail(values), n >= floor);
+    expect_pair_matches_sorted(values, 95.0, 99.0);
+    expect_pair_matches_sorted(values, 99.0, 100.0);
+    expect_pair_matches_sorted(values, 0.0, 95.0);  // rank 0: full select
+    // Sorted input puts the strided sample in rank order.
+    std::sort(values.begin(), values.end());
+    EXPECT_EQ(selects_in_tail(values), n >= floor);
+    expect_pair_matches_sorted(values, 95.0, 99.0);
+  }
+}
+
+TEST(PercentilePair, TiesAroundThePivotMatchSorted) {
+  // Long runs of a few values put the pivot on a tie: the tail above it
+  // is sometimes large enough and sometimes not.
+  Rng rng(37);
+  int tail = 0;
+  int full = 0;
+  for (int i = 0; i < 60; ++i) {
+    const std::size_t n = 600 + rng.next_below(3000);
+    const double heavy = rng.uniform(0.75, 0.97);  // share of the mode
+    std::vector<double> values(n);
+    for (double& x : values) {
+      x = rng.bernoulli(heavy)
+              ? 1.0
+              : 1.0 + static_cast<double>(1 + rng.next_below(3)) * 0.25;
+    }
+    SCOPED_TRACE(::testing::Message() << "n " << n << " mode " << heavy);
+    (selects_in_tail(values) ? tail : full) += 1;
+    expect_pair_matches_sorted(values, 95.0, 99.0);
+  }
+  EXPECT_GT(tail, 0);
+  EXPECT_GT(full, 0);
+}
+
+TEST(PercentilePair, AllEqualValuesFallBackToFullSelection) {
+  for (std::size_t n : {std::size_t{512}, std::size_t{2048}}) {
+    const std::vector<double> values(n, 3.25);
+    EXPECT_FALSE(selects_in_tail(values));
+    expect_pair_matches_sorted(values, 95.0, 99.0);
+    std::vector<double> scratch = values;
+    EXPECT_EQ(percentile_pair(scratch, 95.0, 99.0),
+              std::make_pair(3.25, 3.25));
+  }
+}
+
+TEST(PercentilePair, PivotOnTheMaximumFallsBackToFullSelection) {
+  // Twelve of the 64 sampled positions hold the maximum, so the sample's
+  // 53rd smallest value is the maximum and nothing lies above it.
+  const std::size_t n = 1024;
+  const std::size_t stride = n / 64;
+  Rng rng(41);
+  std::vector<double> values(n);
+  for (double& x : values) x = rng.uniform(0.0, 10.0);
+  for (std::size_t j = 20; j < 32; ++j) values[j * stride] = 10.0;
+  EXPECT_EQ(tail_select_pivot(values), 10.0);
+  EXPECT_FALSE(selects_in_tail(values));
+  expect_pair_matches_sorted(values, 95.0, 99.0);
+  expect_pair_matches_sorted(values, 99.0, 99.9);
+}
+
 TEST(P2Quantile, MatchesExactOnNormalData) {
   Rng rng(21);
   P2Quantile p95(0.95);

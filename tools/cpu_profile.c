@@ -1,13 +1,18 @@
 /* SIGPROF stack sampler, loaded into a program with LD_PRELOAD by
  * tools/cpu_profile.py (which builds it with `cc -shared`).
  *
- * When CPU_PROFILE_OUT is set, the library arms setitimer(ITIMER_PROF) at
- * load, so the kernel sends SIGPROF for every millisecond of CPU time the
- * process burns (or every tick, if its tick is longer), on whichever
- * thread burned it.
+ * When CPU_PROFILE_OUT is set, the library gives every thread its own
+ * CPU-time timer: at load for the thread that loads it, and for every
+ * thread the program starts through pthread_create, which it wraps.
+ * Each timer is a timer_create(CLOCK_THREAD_CPUTIME_ID) aimed at its own
+ * thread (SIGEV_THREAD_ID), so the kernel sends SIGPROF to that thread for
+ * every millisecond of CPU time it burns (or every tick, if its tick is
+ * longer). Every thread is sampled at that rate however many run at once;
+ * a single process-wide timer delivers fewer signals per CPU-second while
+ * several threads burn CPU together.
  * The handler records that thread's stack with backtrace() into a buffer
  * mapped once at load; it neither allocates nor locks. At exit the
- * library stops the timer, waits for handlers still running, and writes
+ * library stops sampling, waits for handlers still running, and writes
  *
  *   $CPU_PROFILE_OUT.<pid>.stacks  little-endian 64-bit words: magic,
  *                                  sampling interval in us, samples
@@ -22,18 +27,24 @@
  * and readelf. A forked child that exits without exec writes nothing.
  */
 #define _GNU_SOURCE
+#include <dlfcn.h>
 #include <errno.h>
 #include <execinfo.h>
 #include <fcntl.h>
+#include <pthread.h>
 #include <signal.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 #include <sys/mman.h>
-#include <sys/time.h>
+#include <time.h>
 #include <ucontext.h>
 #include <unistd.h>
+
+#ifndef sigev_notify_thread_id /* older glibc headers lack the name */
+#define sigev_notify_thread_id _sigev_un._tid
+#endif
 
 #define MAGIC 0x32666f7270757063ull /* "cpuprof2" */
 #define INTERVAL_US 1000
@@ -47,6 +58,9 @@ static int stopping;
 static int in_flight;
 static pid_t owner;
 static char out_prefix[4000];
+static pthread_key_t timer_key; /* a started thread's timer, deleted at exit */
+static timer_t main_timer;      /* the loading thread's timer */
+static int main_timer_armed;
 
 static uintptr_t interrupted_pc(void* context) {
   const ucontext_t* uc = (const ucontext_t*)context;
@@ -101,6 +115,74 @@ static void on_sigprof(int sig, siginfo_t* info, void* context) {
   if (!__atomic_load_n(&stopping, __ATOMIC_SEQ_CST)) record(context);
   __atomic_sub_fetch(&in_flight, 1, __ATOMIC_SEQ_CST);
   errno = saved_errno;
+}
+
+/* Arms a timer on the calling thread's CPU clock that sends SIGPROF to
+ * that thread every INTERVAL_US of its CPU time. */
+static int arm_thread_timer(timer_t* timer) {
+  struct sigevent sev;
+  memset(&sev, 0, sizeof(sev));
+  sev.sigev_notify = SIGEV_THREAD_ID;
+  sev.sigev_signo = SIGPROF;
+  sev.sigev_notify_thread_id = gettid();
+  if (timer_create(CLOCK_THREAD_CPUTIME_ID, &sev, timer) != 0) return -1;
+  struct itimerspec its;
+  its.it_interval.tv_sec = 0;
+  its.it_interval.tv_nsec = INTERVAL_US * 1000L;
+  its.it_value = its.it_interval;
+  if (timer_settime(*timer, 0, &its, NULL) != 0) {
+    timer_delete(*timer);
+    return -1;
+  }
+  return 0;
+}
+
+static void delete_thread_timer(void* timer) {
+  timer_delete(*(timer_t*)timer);
+  free(timer);
+}
+
+struct thread_start {
+  void* (*fn)(void*);
+  void* arg;
+};
+
+/* The start routine of every thread the program starts: arm the thread's
+ * timer, then run the program's routine. */
+static void* cpu_profile_thread_start(void* p) {
+  const struct thread_start start = *(struct thread_start*)p;
+  free(p);
+  timer_t* timer = malloc(sizeof(*timer));
+  if (timer != NULL) {
+    if (arm_thread_timer(timer) == 0) {
+      pthread_setspecific(timer_key, timer);
+    } else {
+      free(timer);
+    }
+  }
+  return start.fn(start.arg);
+}
+
+typedef int (*pthread_create_fn)(pthread_t*, const pthread_attr_t*,
+                                 void* (*)(void*), void*);
+
+int pthread_create(pthread_t* thread, const pthread_attr_t* attr,
+                   void* (*fn)(void*), void* arg) {
+  static pthread_create_fn resolved; /* threads may race to set it */
+  pthread_create_fn real = __atomic_load_n(&resolved, __ATOMIC_ACQUIRE);
+  if (real == NULL) {
+    real = (pthread_create_fn)dlsym(RTLD_NEXT, "pthread_create");
+    if (real == NULL) return EAGAIN;
+    __atomic_store_n(&resolved, real, __ATOMIC_RELEASE);
+  }
+  struct thread_start* start =
+      buf != NULL ? malloc(sizeof(*start)) : NULL;
+  if (start == NULL) return real(thread, attr, fn, arg);
+  start->fn = fn;
+  start->arg = arg;
+  const int rc = real(thread, attr, cpu_profile_thread_start, start);
+  if (rc != 0) free(start);
+  return rc;
 }
 
 static int write_all(int fd, const void* data, size_t len) {
@@ -182,18 +264,23 @@ __attribute__((constructor)) static void cpu_profile_start(void) {
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
   sigemptyset(&sa.sa_mask);
   sigaction(SIGPROF, &sa, NULL);
-  struct itimerval it;
-  it.it_interval.tv_sec = 0;
-  it.it_interval.tv_usec = INTERVAL_US;
-  it.it_value = it.it_interval;
-  setitimer(ITIMER_PROF, &it, NULL);
+  if (pthread_key_create(&timer_key, delete_thread_timer) != 0) {
+    fprintf(stderr, "cpu_profile: cannot create the timer key\n");
+    buf = NULL;
+    return;
+  }
+  main_timer_armed = arm_thread_timer(&main_timer) == 0;
+  if (!main_timer_armed) {
+    fprintf(stderr, "cpu_profile: cannot arm a thread CPU-time timer: %s\n",
+            strerror(errno));
+  }
 }
 
 __attribute__((destructor)) static void cpu_profile_stop(void) {
   if (buf == NULL || getpid() != owner) return;
-  struct itimerval off;
-  memset(&off, 0, sizeof(off));
-  setitimer(ITIMER_PROF, &off, NULL);
+  if (main_timer_armed) timer_delete(main_timer);
+  /* Threads still running keep their timers; their handlers record
+   * nothing from here on, and then the signal is ignored. */
   __atomic_store_n(&stopping, 1, __ATOMIC_SEQ_CST);
   while (__atomic_load_n(&in_flight, __ATOMIC_SEQ_CST) != 0) {
     /* Another thread is inside the handler; it finishes in microseconds. */

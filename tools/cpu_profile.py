@@ -7,10 +7,12 @@
 
 It needs no perf, gdb or debugger privileges, only `cc`, `nm` and
 `readelf`. It builds tools/cpu_profile.c into an LD_PRELOAD library and
-runs PROGRAM under it. The library samples the stack of whichever thread
-burns CPU, on SIGPROF from setitimer(ITIMER_PROF) every millisecond of
-CPU time (the kernel's tick may make that coarser), with backtrace(),
-and at exit writes the raw stacks and a copy of /proc/self/maps. The
+runs PROGRAM under it. The library gives each thread its own CPU-time
+timer (timer_create on the thread's CPU clock, aimed at that thread),
+samples the thread's stack with backtrace() on every SIGPROF, one per
+millisecond of the thread's CPU time (the kernel's tick may make that
+coarser), and at exit writes the raw stacks and a copy of
+/proc/self/maps. The
 stacks are then symbolized with `nm` (function symbols, demangled) and
 `readelf` (load segments, to turn a runtime address into an ELF
 address), and the report prints, per function, its self share (samples
@@ -37,12 +39,16 @@ is the outermost named frame on their stacks.
         --out-dir /tmp/prof-out
 
 Stacks are cut at 128 frames. Inlined functions are charged to the
-function they were inlined into. The timer is the process's, so while
-several threads burn CPU at once it delivers fewer samples per CPU-second
-(on a 4-vCPU VM: 250 Hz with the process pinned to one CPU, about 190 Hz
-with four busy threads); compare sample totals only at equal
-concurrency. Shares within one run are unaffected. --self-test profiles a small program it
-builds with one known hot function and checks the shares.
+function they were inlined into. Every thread the program starts gets
+its timer from a wrapped pthread_create, so its stacks end in
+cpu_profile_thread_start. Because each thread has its own timer, the
+samples per CPU-second do not depend on how many threads burn CPU at
+once, and sample totals of runs with different concurrency compare
+(on a 4-vCPU VM the kernel's 250 Hz tick caps the rate at 250 samples
+per CPU-second). --self-test profiles small programs it builds: one
+with a known hot function, one whose two threads split the work 9:1,
+and one with four busy threads, run as is and pinned to one CPU, whose
+samples per CPU-second must agree within 10%.
 """
 
 from __future__ import annotations
@@ -77,16 +83,18 @@ def build_library(out_dir: Path) -> Path:
     return lib
 
 
-def run_profiled(cmd: list[str], lib: Path,
-                 prefix: Path) -> tuple[int, float]:
-    """Run `cmd` with the sampler preloaded; returns its exit status and
-    the CPU seconds its processes used."""
+def run_profiled(cmd: list[str], lib: Path, prefix: Path,
+                 cpus: set[int] | None = None) -> tuple[int, float]:
+    """Run `cmd` with the sampler preloaded, on the CPUs `cpus` if given
+    (as `taskset -c` would); returns its exit status and the CPU seconds
+    its processes used."""
     env = dict(os.environ)
     env["LD_PRELOAD"] = " ".join(
         p for p in (str(lib), env.get("LD_PRELOAD", "")) if p)
     env["CPU_PROFILE_OUT"] = str(prefix)
+    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    status = subprocess.call(cmd, env=env)
+    status = subprocess.call(cmd, env=env, preexec_fn=pin)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu_s = (after.ru_utime + after.ru_stime -
              before.ru_utime - before.ru_stime)
@@ -400,6 +408,44 @@ int main(int argc, char** argv) {
 """
 
 
+# Four threads (the main one and three it starts) do equal work, 4 parts
+# each.
+SELF_TEST_BUSY_PROGRAM = r"""
+#include <pthread.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+volatile uint64_t sink;
+static uint64_t parts;
+
+__attribute__((noinline)) uint64_t spin(uint64_t n, uint64_t x) {
+  for (uint64_t i = 0; i < n; ++i) {
+    x = x * 6364136223846793005ull + i;
+    __asm__ volatile("" : "+r"(x));
+  }
+  return x;
+}
+
+static void* worker(void* arg) {
+  sink = spin(4 * parts, (uint64_t)(uintptr_t)arg);
+  return 0;
+}
+
+int main(int argc, char** argv) {
+  parts = argc > 1 ? strtoull(argv[1], 0, 10) : 30000000ull;
+  pthread_t t[3];
+  for (int i = 0; i < 3; ++i) {
+    if (pthread_create(&t[i], 0, worker, (void*)(uintptr_t)(i + 1)) != 0) {
+      return 1;
+    }
+  }
+  sink = spin(4 * parts, 5);
+  for (int i = 0; i < 3; ++i) pthread_join(t[i], 0);
+  return 0;
+}
+"""
+
+
 def self_test() -> int:
     failures: list[str] = []
 
@@ -412,23 +458,25 @@ def self_test() -> int:
     try:
         lib = build_library(work)
 
-        def profile(name: str, source: str) -> Profile:
+        def profile(name: str, source: str,
+                    cpus: set[int] | None = None) -> tuple[Profile, float]:
             prog, src = work / name, work / f"{name}.c"
-            src.write_text(source)
-            subprocess.run(["cc", "-O1", "-fno-inline", "-pthread", "-o",
-                            str(prog), str(src)], check=True)
-            prefix = work / f"{name}.prof"
+            if not prog.exists():
+                src.write_text(source)
+                subprocess.run(["cc", "-O1", "-fno-inline", "-pthread",
+                                "-o", str(prog), str(src)], check=True)
+            prefix = work / f"{name}{'.pinned' if cpus else ''}.prof"
             status, cpu_s = run_profiled([str(prog), "40000000"], lib,
-                                         prefix)
+                                         prefix, cpus)
             need(status == 0, f"{name}: profiled program exits 0 "
                  f"(got {status})")
             result = load_profile(prefix)
             report(result, cpu_s, [], 6)
             n = len(result.samples)
             need(n >= 50, f"{name}: at least 50 samples (got {n})")
-            return result
+            return result, cpu_s
 
-        stacks = profile("hot", SELF_TEST_PROGRAM).samples
+        stacks = profile("hot", SELF_TEST_PROGRAM)[0].samples
         n = len(stacks)
         if n == 0:
             return 1
@@ -453,7 +501,7 @@ def self_test() -> int:
              and c_self["spin"] / m >= 0.95,
              "samples through cold_caller are spin's, none hot_function's")
 
-        threaded = profile("threads", SELF_TEST_THREADS_PROGRAM)
+        threaded = profile("threads", SELF_TEST_THREADS_PROGRAM)[0]
         n = len(threaded.samples)
         counts = collections.Counter(s.thread for s in threaded.samples)
         need(len(counts) == 2, f"samples come from 2 threads (got "
@@ -467,6 +515,20 @@ def self_test() -> int:
         need(n > 0 and 0.03 <= helper_n / n <= 0.25,
              f"helper thread share {helper_n / max(n, 1):.3f} in "
              "[0.03, 0.25]")
+
+        # Per-thread timers: four busy threads at once are sampled at the
+        # rate of the same work pinned to one CPU.
+        rates = []
+        for cpus in (None, {0}):
+            busy, cpu_s = profile("busy", SELF_TEST_BUSY_PROGRAM, cpus)
+            threads = len({s.thread for s in busy.samples})
+            need(threads == 4, f"busy{' pinned' if cpus else ''}: samples "
+                 f"come from 4 threads (got {threads})")
+            rates.append(len(busy.samples) / max(cpu_s, 1e-9))
+        ratio = rates[0] / max(rates[1], 1e-9)
+        need(0.9 <= ratio <= 1.1,
+             f"samples per CPU-s with 4 busy threads {rates[0]:.0f} within "
+             f"10% of pinned to one CPU {rates[1]:.0f} (ratio {ratio:.3f})")
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print(f"cpu_profile self-test: {'FAILED' if failures else 'passed'}")

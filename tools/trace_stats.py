@@ -52,7 +52,10 @@ plus the engine and churn contracts:
   - churn conservation: jobs_submitted == jobs_placed + jobs_rejected +
     jobs_queued_at_end and jobs_placed == jobs_completed +
     jobs_active_at_end, with every counter non-negative and the queue
-    peak at least the end-of-run queue depth.
+    peak at least the end-of-run queue depth;
+  - "counters", the roll-up of the nodes' counters, is an object whose
+    keys are "fleet."-prefixed names in name order and whose values are
+    non-negative integers.
 
 Usage: trace_stats.py [--cluster | --fleet] TRACE.jsonl
 Exits non-zero with a message on the first violated invariant.
@@ -340,6 +343,21 @@ def validate_fleet(path):
                 "skipped_fraction"):
         check_nonneg(f, key, where)
 
+    counters = f.get("counters")
+    if not isinstance(counters, dict):
+        fail(f"{where}: counters {counters!r} not an object")
+    names = list(counters)
+    if names != sorted(names):
+        fail(f"{where}: counters not in name order")
+    for name, value in counters.items():
+        if not name.startswith("fleet."):
+            fail(f"{where}: counter {name!r} is not a fleet.* roll-up")
+        # bool is an int subclass in Python; JSON true/false is no count.
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or value < 0):
+            fail(f"{where}: counter {name} {value!r} not a non-negative "
+                 f"integer")
+
     want_frac = f["skipped_epochs"] / (f["nodes"] * f["epochs"])
     if abs(f["skipped_fraction"] - want_frac) > 1e-9:
         fail(f"{where}: skipped_fraction {f['skipped_fraction']} != "
@@ -371,7 +389,8 @@ def validate_fleet(path):
           f"{f['rebalances']} rebalances / {f['cap_revisions']} delta "
           f"revisions, jobs {f['jobs_submitted']} submitted / "
           f"{f['jobs_completed']} completed / {f['jobs_migrated']} "
-          f"migrated / {f['jobs_rejected']} rejected")
+          f"migrated / {f['jobs_rejected']} rejected, "
+          f"{len(counters)} fleet counters")
     return 0
 
 
